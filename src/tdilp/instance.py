@@ -557,10 +557,3 @@ class InstanceBuilder:
             raise IlpError("build() has not been called yet")
         return self._built.id_of(name)
 
-
-def assignment_by_name(instance: IlpInstance, values: Mapping[str, int]) -> dict[int, int]:
-    return {instance.id_of(name): value for name, value in values.items()}
-
-
-def assignment_named(instance: IlpInstance, assignment: Mapping[int, int]) -> dict[str, int]:
-    return {instance.name_of(v): value for v, value in assignment.items()}

@@ -99,27 +99,28 @@ def _constraint_view(constraint: LinearConstraint, inside: set[int]):
     return (outside, inner, constraint.rhs)
 
 
+def _signature(inside: set[int], rows: Iterable[LinearConstraint]) -> tuple:
+    return (len(inside), tuple(sorted(_constraint_view(c, inside) for c in rows)))
+
+
 def subtree_signature(instance: IlpInstance, nodes: Iterable[int]) -> tuple:
     """Renaming-invariant fingerprint of a subtree: equivalent subtrees
     always collide; the converse is settled by test_equivalence."""
     inside = set(nodes)
-    views = sorted(
-        _constraint_view(c, inside) for c in constraints_touching(instance, inside)
-    )
-    return (len(inside), tuple(views))
+    return _signature(inside, constraints_touching(instance, inside))
 
 
 def _variable_signatures(
-    instance: IlpInstance, inside: set[int]
+    inside: set[int], rows: Iterable[LinearConstraint]
 ) -> dict[int, tuple]:
     """Per-variable renaming-invariant fingerprints within one subtree."""
-    rows: dict[int, list] = {v: [] for v in inside}
-    for c in constraints_touching(instance, inside):
+    entries: dict[int, list] = {v: [] for v in inside}
+    for c in rows:
         view = _constraint_view(c, inside)
         for v, coeff in c.terms:
             if v in inside:
-                rows[v].append((coeff, view))
-    return {v: tuple(sorted(entries)) for v, entries in rows.items()}
+                entries[v].append((coeff, view))
+    return {v: tuple(sorted(e)) for v, e in entries.items()}
 
 
 def _renamed_key(c: LinearConstraint, delta: Mapping[int, int]):
@@ -133,6 +134,89 @@ def _renamed_key(c: LinearConstraint, delta: Mapping[int, int]):
 
 # ---------------------------------------------------------------------------
 # equivalence testing
+
+
+def _find_renaming(
+    X: tuple[int, ...],
+    fx: tuple[LinearConstraint, ...],
+    Y: tuple[int, ...],
+    fy: tuple[LinearConstraint, ...],
+) -> dict[int, int] | None:
+    """The certified bijection search behind every equivalence verdict.
+
+    X and Y are the sorted variables of two sibling subtrees with equal
+    signatures, fx and fy the rows touching each.  Returns the first
+    renaming delta: X -> Y, in ascending-id order of X and of each
+    variable's candidates, that maps fx exactly onto fy; None if there is
+    none.  The depth-first search keeps its own stack, so subtree size is
+    not limited by the recursion limit.
+    """
+    inside_x = set(X)
+    sig_x = _variable_signatures(inside_x, fx)
+    sig_y = _variable_signatures(set(Y), fy)
+    by_sig_y: dict[tuple, list[int]] = {}
+    for w in Y:
+        by_sig_y.setdefault(sig_y[w], []).append(w)
+    candidates = []
+    for v in X:
+        pool = by_sig_y.get(sig_x[v])
+        if not pool:
+            return None
+        candidates.append(pool)
+
+    target_keys = {c.sort_key() for c in fy}
+    var_to_rows: dict[int, list[int]] = {v: [] for v in X}
+    pending = []
+    for ci, c in enumerate(fx):
+        vs = [v for v, _ in c.terms if v in inside_x]
+        pending.append(len(vs))
+        for v in vs:
+            var_to_rows[v].append(ci)
+
+    delta: dict[int, int] = {}
+    used: set[int] = set()
+    tried = [0] * len(X)  # candidates of X[k] already tried at depth k
+
+    def unplace(v: int) -> None:
+        for ci in var_to_rows[v]:
+            pending[ci] += 1
+        used.discard(delta.pop(v))
+
+    def place_next(k: int) -> bool:
+        """Map X[k] to its next untried free candidate whose completed rows
+        all land in fy; False once the candidates run out."""
+        v, pool = X[k], candidates[k]
+        while tried[k] < len(pool):
+            w = pool[tried[k]]
+            tried[k] += 1
+            if w in used:
+                continue
+            delta[v] = w
+            used.add(w)
+            ok = True
+            for ci in var_to_rows[v]:
+                pending[ci] -= 1
+                if ok and pending[ci] == 0:
+                    ok = _renamed_key(fx[ci], delta) in target_keys
+            if ok:
+                return True
+            unplace(v)
+        tried[k] = 0
+        return False
+
+    k = 0
+    while k >= 0:
+        if k == len(X):
+            image = {_renamed_key(c, delta) for c in fx}
+            if None not in image and image == target_keys:
+                return delta
+        elif place_next(k):
+            k += 1
+            continue
+        k -= 1
+        if k >= 0:
+            unplace(X[k])
+    return None
 
 
 def test_equivalence(
@@ -155,70 +239,12 @@ def test_equivalence(
 
     X = decomposition.subtree(x)
     Y = decomposition.subtree(y)
-    if len(X) != len(Y):
+    fx = constraints_touching(instance, X)
+    fy = constraints_touching(instance, Y)
+    if _signature(set(X), fx) != _signature(set(Y), fy):
         return None
-    inside_x, inside_y = set(X), set(Y)
-    fx = constraints_touching(instance, inside_x)
-    fy = constraints_touching(instance, inside_y)
-    if len(fx) != len(fy):
-        return None
-    if subtree_signature(instance, X) != subtree_signature(instance, Y):
-        return None
-
-    sig_x = _variable_signatures(instance, inside_x)
-    sig_y = _variable_signatures(instance, inside_y)
-    candidates: dict[int, tuple[int, ...]] = {}
-    by_sig_y: dict[tuple, list[int]] = {}
-    for w in sorted(Y):
-        by_sig_y.setdefault(sig_y[w], []).append(w)
-    for v in X:
-        pool = by_sig_y.get(sig_x[v])
-        if not pool:
-            return None
-        candidates[v] = tuple(pool)
-
-    target_keys = {c.sort_key() for c in fy}
-    inside_vars_of = [tuple(v for v, _ in c.terms if v in inside_x) for c in fx]
-    var_to_rows: dict[int, list[int]] = {v: [] for v in X}
-    pending = []
-    for ci, vs in enumerate(inside_vars_of):
-        pending.append(len(vs))
-        for v in vs:
-            var_to_rows[v].append(ci)
-
-    order = sorted(X)
-    delta: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(k: int) -> bool:
-        if k == len(order):
-            image = {_renamed_key(c, delta) for c in fx}
-            return None not in image and image == target_keys
-        v = order[k]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            delta[v] = w
-            used.add(w)
-            completed = []
-            for ci in var_to_rows[v]:
-                pending[ci] -= 1
-                if pending[ci] == 0:
-                    completed.append(ci)
-            ok = all(
-                _renamed_key(fx[ci], delta) in target_keys for ci in completed
-            )
-            if ok and place(k + 1):
-                return True
-            for ci in var_to_rows[v]:
-                pending[ci] += 1
-            used.discard(w)
-            del delta[v]
-        return False
-
-    if not place(0):
-        return None
-    return EquivalenceWitness(x=x, y=y, delta=dict(delta))
+    delta = _find_renaming(X, fx, Y, fy)
+    return None if delta is None else EquivalenceWitness(x=x, y=y, delta=delta)
 
 
 def witness_is_sound(
@@ -242,19 +268,86 @@ def witness_is_sound(
 # pruning
 
 
-def _eligible_children(
-    instance: IlpInstance,
-    decomposition: TreedepthDecomposition,
-    z: int | None,
-) -> list[int]:
-    """Children of z (forest roots for z=None) whose subtree is objective-free."""
-    kids = decomposition.roots() if z is None else decomposition.children(z)
-    support = set(instance.objective.variables())
-    out = []
-    for c in kids:
-        if not (support & set(decomposition.subtree(c))):
-            out.append(c)
-    return out
+class _Pruner:
+    """Variable-to-row index of one instance, plus the subtrees pruned so far.
+
+    Every row lies on one root path of the decomposition, so sibling
+    subtrees never share a row: pruning one sibling leaves every other
+    sibling's touching rows, signature and twins unchanged.  Each sibling
+    set therefore needs a single pass.
+    """
+
+    def __init__(self, instance: IlpInstance, decomposition: TreedepthDecomposition):
+        self.constraints = instance.constraints
+        self.decomposition = decomposition
+        self.rows_of: dict[int, list[int]] = {v: [] for v in instance.ids()}
+        for i, c in enumerate(instance.constraints):
+            for v in c.variables():
+                self.rows_of[v].append(i)
+        # nodes whose subtree holds an objective variable are never pruned
+        self.holders: set[int] = set()
+        for v in instance.objective.variables():
+            while v != ROOT and v not in self.holders:
+                self.holders.add(v)
+                v = decomposition.parent[v]
+        self.gone_vars: set[int] = set()
+        self.gone_rows: set[int] = set()
+
+    def _subtree(self, x: int) -> tuple[int, ...]:
+        out, stack = [x], [x]
+        while stack:
+            for c in self.decomposition.children(stack.pop()):
+                if c not in self.gone_vars:
+                    out.append(c)
+                    stack.append(c)
+        return tuple(sorted(out))
+
+    def _touching(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
+        rows = {i for v in nodes for i in self.rows_of[v]}
+        return tuple(sorted(rows - self.gone_rows))
+
+    def prune(self, kids: Iterable[int]) -> list[tuple[EquivalenceWitness, tuple[int, ...]]]:
+        """Prune every objective-free sibling in kids (ascending ids) that
+        has a smaller-id twin.  Returns (witness from the class's smallest
+        id, pruned subtree) in trace order: classes by smallest id, then
+        ascending pruned id."""
+        kids = [c for c in kids if c not in self.holders]
+        if len(kids) < 2:
+            return []
+        groups: dict[tuple, list] = {}
+        for c in kids:
+            nodes = self._subtree(c)
+            rows = self._touching(nodes)
+            fc = tuple(self.constraints[i] for i in rows)
+            groups.setdefault(_signature(set(nodes), fc), []).append((c, nodes, rows, fc))
+        hits = []
+        for members in groups.values():
+            keepers: list = []
+            for member in members:
+                c, nodes, rows, fc = member
+                for k, k_nodes, _, k_fc in keepers:
+                    delta = _find_renaming(k_nodes, k_fc, nodes, fc)
+                    if delta is not None:
+                        hits.append((EquivalenceWitness(x=k, y=c, delta=delta), nodes, rows))
+                        break
+                else:
+                    keepers.append(member)
+        hits.sort(key=lambda hit: (hit[0].x, hit[0].y))
+        for _, nodes, rows in hits:
+            self.gone_vars.update(nodes)
+            self.gone_rows.update(rows)
+        return [(witness, nodes) for witness, nodes, _ in hits]
+
+
+def _trace_step(
+    instance: IlpInstance, witness: EquivalenceWitness, gone: tuple[int, ...]
+) -> TraceStep:
+    return TraceStep(
+        omitted=gone,
+        keeper_root=witness.x,
+        delta=dict(witness.delta),
+        names={v: instance.name_of(v) for v in sorted(set(gone) | set(witness.delta))},
+    )
 
 
 def find_equivalent_pair(
@@ -264,23 +357,9 @@ def find_equivalent_pair(
 ) -> EquivalenceWitness | None:
     """First equivalent objective-free pair of children of z, in (min id,
     max id) order; z=None addresses the virtual root above all trees."""
-    kids = _eligible_children(instance, decomposition, z)
-    if len(kids) < 2:
-        return None
-    groups: dict[tuple, list[int]] = {}
-    for c in kids:
-        groups.setdefault(subtree_signature(instance, decomposition.subtree(c)), []).append(c)
-    pairs = []
-    for members in groups.values():
-        members.sort()
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    for a, b in sorted(pairs):
-        witness = test_equivalence(instance, decomposition, a, b)
-        if witness is not None:
-            return witness
-    return None
+    kids = decomposition.roots() if z is None else decomposition.children(z)
+    hits = _Pruner(instance, decomposition).prune(kids)
+    return hits[0][0] if hits else None
 
 
 def prune_step(
@@ -293,18 +372,8 @@ def prune_step(
     if witness is None:
         return None
     gone = decomposition.subtree(witness.y)
-    step = TraceStep(
-        omitted=gone,
-        keeper_root=witness.x,
-        delta=dict(witness.delta),
-        names={
-            v: instance.name_of(v)
-            for v in sorted(set(gone) | set(witness.delta))
-        },
-    )
-    pruned = omit_variables(instance, gone)
-    shrunk = decomposition.drop_nodes(gone)
-    return pruned, shrunk, step
+    step = _trace_step(instance, witness, gone)
+    return omit_variables(instance, gone), decomposition.drop_nodes(gone), step
 
 
 def kernelize(
@@ -312,43 +381,39 @@ def kernelize(
     decomposition: TreedepthDecomposition,
     virtual_root: bool = True,
 ) -> tuple[IlpInstance, TreedepthDecomposition, KernelTrace]:
-    """Exhaustive bottom-up pruning.
+    """Exhaustive bottom-up pruning in one indexed pass.
 
     Processes parents from the deepest level up to the roots and then,
     when enabled, a virtual root over the forest so that duplicated whole
-    components collapse too.  Each step removes at least one variable, so
-    at most n steps run.
+    components collapse too.  Within a level, parents go by ascending id.
+    The trace is the one that omitting the smallest (keeper, twin) pair
+    one at a time until a fixpoint would record; the instance is rebuilt
+    once at the end.
     """
     if set(decomposition.parent) != set(instance.ids()):
         raise KernelError("decomposition nodes differ from instance variables")
     if not verify_treedepth_decomposition(build_primal_graph(instance), decomposition):
         raise KernelError("decomposition closure misses a primal edge")
 
-    cur_i, cur_t = instance, decomposition
-    steps: list[TraceStep] = []
-    for depth in range(cur_t.height - 1, 0, -1):
-        for z in cur_t.nodes_at_depth(depth):
-            while True:
-                hit = prune_step(cur_i, cur_t, z)
-                if hit is None:
-                    break
-                cur_i, cur_t, step = hit
-                steps.append(step)
+    pruner = _Pruner(instance, decomposition)
+    by_depth: dict[int, list[int]] = {}
+    for v in decomposition.nodes():
+        by_depth.setdefault(decomposition.depth_of(v), []).append(v)
+    sibling_sets = [
+        decomposition.children(z)
+        for depth in range(decomposition.height - 1, 0, -1)
+        for z in by_depth[depth]
+    ]
+    if virtual_root and sum(r in pruner.holders for r in decomposition.roots()) <= 1:
+        sibling_sets.append(decomposition.roots())
 
-    if virtual_root:
-        support = set(cur_i.objective.variables())
-        holders = sum(
-            1 for r in cur_t.roots() if support & set(cur_t.subtree(r))
-        )
-        if holders <= 1:
-            while True:
-                hit = prune_step(cur_i, cur_t, None)
-                if hit is None:
-                    break
-                cur_i, cur_t, step = hit
-                steps.append(step)
-
-    return cur_i, cur_t, KernelTrace(steps)
+    steps = [
+        _trace_step(instance, witness, gone)
+        for kids in sibling_sets
+        for witness, gone in pruner.prune(kids)
+    ]
+    kernel = omit_variables(instance, pruner.gone_vars)
+    return kernel, decomposition.drop_nodes(pruner.gone_vars), KernelTrace(steps)
 
 
 def lift_solution(trace: KernelTrace, assignment: Mapping[int, int]) -> dict[int, int]:

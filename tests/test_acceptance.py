@@ -293,7 +293,7 @@ def test_duplicate_block_kernel_is_size_invariant(verdict):
         ("forest", _forest_blocks, 6, 3, 3),
     ):
         kernels = {}
-        for n in (10, 50, 200):
+        for n in (10, 50, 200, 2000):
             ins = make(n)
             out, info = solve_pipeline(ins)
             kernels[n] = info.kernel.n_variables
@@ -315,7 +315,7 @@ def test_duplicate_block_kernel_is_size_invariant(verdict):
     verdict(
         "duplicate-block kernel invariance",
         not failures,
-        f"star and forest at N=10/50/200, kernels 2 and 3, {len(failures)} failures",
+        f"star and forest at N=10/50/200/2000, kernels 2 and 3, {len(failures)} failures",
     )
     assert not failures, failures
 

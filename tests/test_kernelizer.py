@@ -1,5 +1,7 @@
 """Pruning, lifting, bounds, and the trace format."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,15 +19,16 @@ from tdilp import (
     trace_from_json,
     trace_to_json,
 )
-from tdilp.instance import check_feasible, evaluate_objective
+from tdilp.instance import check_feasible, evaluate_objective, omit_variables
 from tdilp.kernelizer import (
     KernelTrace,
     TraceStep,
+    subtree_signature,
     test_equivalence as check_equivalence,
     witness_is_sound,
 )
 from tdilp.oracle import brute_force_ilp
-from tdilp.structure import ROOT
+from tdilp.structure import ROOT, build_primal_graph, dfs_treedepth_heuristic
 
 
 def _blocks_instance(caps, objective_on_z=True):
@@ -330,3 +333,146 @@ def test_kernel_preserves_optimum_on_random_blocks(patterns):
     lifted = lift_solution(trace, reduced.assignment)
     assert check_feasible(ins, lifted)
     assert evaluate_objective(ins, lifted) == original.value
+
+
+def test_deep_twin_components_kernelize_without_recursion():
+    """Two identical 1,100-variable paths beside the objective: certifying
+    the pair searches 1,100 levels deep, past the interpreter's recursion
+    limit."""
+    b = InstanceBuilder()
+    b.set_objective({"z": 1})
+    b.add_le({"z": 1}, 5)
+    for side in "pq":
+        for i in range(1099):
+            b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
+    ins = b.build()
+    kernel, _, trace = kernelize(ins, dfs_treedepth_heuristic(build_primal_graph(ins)))
+    assert len(trace) == 1
+    assert kernel.n_variables == 1101
+
+
+def _naive_kernelize(instance, decomposition, virtual_root):
+    """Reference fixpoint: omit the smallest equivalent (keeper, twin) pair
+    under each parent, rebuilding the instance after every step, until no
+    pair is left."""
+    ins, dec, steps = instance, decomposition, []
+
+    def first_pair(kids):
+        support = set(ins.objective.variables())
+        groups = {}
+        for c in kids:
+            if not support & set(dec.subtree(c)):
+                groups.setdefault(subtree_signature(ins, dec.subtree(c)), []).append(c)
+        pairs = sorted(
+            pair
+            for members in groups.values()
+            for pair in itertools.combinations(sorted(members), 2)
+        )
+        for a, b in pairs:
+            witness = check_equivalence(ins, dec, a, b)
+            if witness is not None:
+                return witness
+        return None
+
+    def exhaust(z):
+        nonlocal ins, dec
+        while (w := first_pair(dec.roots() if z is None else dec.children(z))) is not None:
+            gone = dec.subtree(w.y)
+            names = {v: ins.name_of(v) for v in sorted(set(gone) | set(w.delta))}
+            steps.append(TraceStep(gone, w.x, dict(w.delta), names))
+            ins, dec = omit_variables(ins, gone), dec.drop_nodes(gone)
+
+    for depth in range(decomposition.height - 1, 0, -1):
+        for z in dec.nodes_at_depth(depth):
+            exhaust(z)
+    support = set(ins.objective.variables())
+    if virtual_root and sum(bool(support & set(dec.subtree(r))) for r in dec.roots()) <= 1:
+        exhaust(None)
+    return ins, dec, KernelTrace(steps)
+
+
+@st.composite
+def planted_forests(draw):
+    """An instance with a planted decomposition of height <= 3.
+
+    Rows lie on root paths with coefficients in [-2, 2].  Sibling subtrees
+    are often copies of one template (twins).  Gadget siblings u -> w all
+    carry u + 2w <= 1 plus either w <= 2 or u <= 2: equal signatures, but
+    twins only when they carry the same unit row.
+    """
+    coeff = st.integers(-2, 2)
+    names, parent, rows = [], {}, []
+
+    def node(path):
+        name = f"v{len(names):03d}"
+        names.append(name)
+        parent[name] = path[-1] if path else None
+        return path + [name]
+
+    def template(depth):
+        own = [
+            (
+                draw(st.lists(coeff, min_size=depth - 1, max_size=depth - 1))
+                + [draw(st.sampled_from((-2, -1, 1, 2)))],
+                draw(coeff),
+            )
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        kids = []
+        if depth < 3:
+            for _ in range(draw(st.integers(0, 2))):
+                kids += [template(depth + 1)] * draw(st.integers(1, 3))
+        if depth == 1 and draw(st.booleans()):
+            outside = (draw(coeff), draw(coeff))
+            for unit_on_u in (False, True):
+                kids += [("gadget", outside, unit_on_u)] * draw(st.integers(1, 2))
+        return own, kids
+
+    def plant(spec, path):
+        if spec[0] == "gadget":
+            _, (a, b), unit_on_u = spec
+            u_path = node(path)
+            z, u, w = path[-1], u_path[-1], node(u_path)[-1]
+            rows.append(({z: a, u: 1, w: 2}, 1))
+            rows.append(({z: b, u if unit_on_u else w: 1}, 2))
+            return
+        own, kids = spec
+        full = node(path)
+        for coeffs, rhs in own:
+            rows.append((dict(zip(full, coeffs)), rhs))
+        for kid in kids:
+            plant(kid, full)
+
+    for _ in range(draw(st.integers(1, 3))):
+        spec = template(1)
+        for _ in range(draw(st.integers(1, 2))):
+            plant(spec, [])
+
+    b = InstanceBuilder()
+    for name in names:
+        b.var(name)
+    for terms, rhs in rows:
+        b.add_le(terms, rhs)
+    holder = draw(st.sampled_from([None, *names]))
+    if holder is not None:
+        objective = {holder: draw(st.sampled_from((-1, 1, 2)))}
+        if parent[holder] is not None and draw(st.booleans()):
+            objective[parent[holder]] = 1
+        b.set_objective(objective)
+    ins = b.build()
+    dec = TreedepthDecomposition(
+        {ins.id_of(v): ROOT if p is None else ins.id_of(p) for v, p in parent.items()}
+    )
+    return ins, dec
+
+
+@given(planted_forests())
+@settings(max_examples=150, deadline=None)
+def test_indexed_pass_matches_naive_fixpoint(case):
+    ins, dec = case
+    for virtual_root in (True, False):
+        kernel, kdec, trace = kernelize(ins, dec, virtual_root=virtual_root)
+        want_kernel, want_dec, want_trace = _naive_kernelize(ins, dec, virtual_root)
+        assert kernel == want_kernel and kernel.ids() == want_kernel.ids()
+        assert kdec == want_dec
+        assert trace_to_json(trace) == trace_to_json(want_trace)
