@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .instance import IlpError, IlpInstance, max_abs_coefficient, parse_instance, serialize_instance
 from .kernelizer import (
-    KernelTrace,
     compute_bounds,
     format_bound,
     kernelize,
+    lift_solution,
     trace_from_json,
     trace_to_json,
 )
@@ -41,10 +41,8 @@ from .solver import solve_pipeline
 from .structure import (
     StructureError,
     TreedepthDecomposition,
-    TreeDecompositionWitness,
     build_primal_graph,
-    compute_treedepth_exact,
-    dfs_treedepth_heuristic,
+    decompose,
     parse_graph_file,
     verify_tree_decomposition,
     verify_treedepth_decomposition,
@@ -56,9 +54,6 @@ OK = 0
 NO = 1
 USAGE = 2
 RESOURCE = 3
-
-# graphs above this size get the DFS heuristic instead of exact treedepth
-EXACT_TD_LIMIT = 12
 
 
 def _read(path: str) -> str:
@@ -73,18 +68,8 @@ def _load_graph(path: str):
     return parse_graph_file(_read(path))
 
 
-def _decomposition_for(instance: IlpInstance, witness_path: str | None):
-    """The decomposition a solve would use: given, exact, or heuristic."""
-    if witness_path is not None:
-        witness = witness_from_json(_read(witness_path))
-        if not isinstance(witness, TreedepthDecomposition):
-            raise StructureError("--td expects a treedepth witness")
-        return witness, "given"
-    graph = build_primal_graph(instance)
-    if graph.n <= EXACT_TD_LIMIT:
-        _, decomposition = compute_treedepth_exact(graph)
-        return decomposition, "exact"
-    return dfs_treedepth_heuristic(graph), "dfs"
+def _load_witness(path: str | None):
+    return None if path is None else witness_from_json(_read(path))
 
 
 def _outcome_exit(outcome: SolveOutcome) -> int:
@@ -107,11 +92,10 @@ def _cmd_analyze(args) -> int:
     print(f"ell: {max_abs_coefficient(instance)}")
     components = len(graph.connected_components())
     print(f"primal graph: {graph.n} vertices, {graph.n_edges} edges, {components} components")
-    if graph.n <= EXACT_TD_LIMIT:
-        depth, decomposition = compute_treedepth_exact(graph)
-        print(f"treedepth: {depth} (exact)")
+    decomposition, mode = decompose(instance)
+    if mode == "exact":
+        print(f"treedepth: {decomposition.height} (exact)")
     else:
-        decomposition = dfs_treedepth_heuristic(graph)
         print(f"treedepth: <= {decomposition.height} (dfs heuristic)")
     if args.witness_out:
         Path(args.witness_out).write_text(witness_to_json(decomposition), encoding="utf-8")
@@ -121,12 +105,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.file)
-    decomposition = None
-    if args.td is not None:
-        decomposition, _ = _decomposition_for(instance, args.td)
     outcome, _ = solve_pipeline(
         instance,
-        decomposition,
+        _load_witness(args.td),
         use_kernel=not args.no_kernel,
         propagate=args.propagate,
         bound=args.bound,
@@ -137,7 +118,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_kernelize(args) -> int:
     instance = _load_instance(args.file)
-    decomposition, _ = _decomposition_for(instance, args.td)
+    decomposition, _ = decompose(instance, _load_witness(args.td))
     kernel, _, trace = kernelize(instance, decomposition)
     Path(args.output).write_text(serialize_instance(kernel), encoding="utf-8")
     Path(args.trace).write_text(trace_to_json(trace), encoding="utf-8")
@@ -149,18 +130,12 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    trace: KernelTrace = trace_from_json(_read(args.trace))
+    trace = trace_from_json(_read(args.trace))
     solution = json.loads(_read(args.solution))
-    assignment = solution.get("assignment")
+    assignment = solution.get("assignment") if isinstance(solution, dict) else None
     if not isinstance(assignment, dict):
         raise IlpError("solution file has no assignment to lift")
-    lifted = dict(assignment)
-    for step in reversed(trace.steps):
-        for src, dst in step.delta.items():
-            src_name, dst_name = step.names[src], step.names[dst]
-            if src_name not in lifted:
-                raise IlpError(f"solution is missing variable {src_name!r}")
-            lifted[dst_name] = lifted[src_name]
+    lifted = lift_solution(trace, assignment, by_name=True)
     doc = {
         "status": solution.get("status"),
         "value": solution.get("value"),
@@ -270,12 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdilp",
         description="Structure-aware exact ILP toolkit: kernelize, solve, generate.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive,
-        default=1,
-        help="cap on internal parallelism (current engines are single-threaded)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -215,9 +215,6 @@ class IlpInstance:
     def id_of(self, name: str) -> int:
         return self._id_by_name[name]
 
-    def has_name(self, name: str) -> bool:
-        return name in self._id_by_name
-
     # -- structural equality (name keyed) ------------------------------
 
     def _name_form(self):

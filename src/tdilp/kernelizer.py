@@ -416,13 +416,21 @@ def kernelize(
     return kernel, decomposition.drop_nodes(pruner.gone_vars), KernelTrace(steps)
 
 
-def lift_solution(trace: KernelTrace, assignment: Mapping[int, int]) -> dict[int, int]:
-    """Replay the prune log backwards, copying keeper values onto twins."""
+def lift_solution(
+    trace: KernelTrace, assignment: Mapping, *, by_name: bool = False
+) -> dict:
+    """Replay the prune log backwards, copying keeper values onto twins.
+
+    The assignment is keyed by variable id, or with by_name by variable
+    name, which each step's names translate from its ids.
+    """
     lifted = dict(assignment)
     for step in reversed(trace.steps):
         for src, dst in step.delta.items():
+            if by_name:
+                src, dst = step.names[src], step.names[dst]
             if src not in lifted:
-                raise KernelError(f"trace mismatch: no value for variable id {src}")
+                raise KernelError(f"trace mismatch: no value for variable {src!r}")
             lifted[dst] = lifted[src]
     return lifted
 
@@ -432,107 +440,56 @@ def lift_solution(trace: KernelTrace, assignment: Mapping[int, int]) -> dict[int
 
 
 MAX_EXACT_BITS = 1_000_000
+NOTE_LIMIT = 80  # characters; a longer note prints as HUGE
+HUGE = "astronomically large"
 
 
 class Astronomical:
-    """Placeholder for an exact integer too large to materialize.
+    """Placeholder for an exact integer too large to materialize, kept
+    as a printable note of at most NOTE_LIMIT characters."""
 
-    bits is a lower bound on floor(log2(value)) when that is itself small
-    enough to hold; note is a printable form.  Instances compare larger
-    than any materialized integer (they only arise past 2^1e6).
-    """
+    __slots__ = ("note",)
 
-    __slots__ = ("bits", "note")
-
-    def __init__(self, bits: int | None, note: str):
-        self.bits = bits
-        self.note = note
-
-    def _shorten(self) -> str:
-        return self.note if len(self.note) <= 80 else "astronomically large"
+    def __init__(self, template: str, *operands: "int | Astronomical"):
+        """The note template.format(*operands); an int operand of more
+        than NOTE_LIMIT digits is never converted, its note is HUGE."""
+        texts = []
+        for x in operands:
+            if isinstance(x, Astronomical):
+                texts.append(x.note)
+            elif x < 10**NOTE_LIMIT:
+                texts.append(str(x))
+            else:
+                self.note = HUGE
+                return
+        note = template.format(*texts)
+        self.note = note if len(note) <= NOTE_LIMIT else HUGE
 
     def __repr__(self):
-        return f"Astronomical({self._shorten()})"
+        return f"Astronomical({self.note})"
 
     def __str__(self):
-        return self._shorten()
+        return self.note
 
-    # comparisons: anything materialized is smaller
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Astronomical):
-            if self.bits is not None and other.bits is not None:
-                return self.bits > other.bits
-            return other.bits is not None
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Astronomical):
-            return not (other > self)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Astronomical)):
-            return not (self >= other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, Astronomical)):
-            return not (self > other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
-    # arithmetic keeps lower bounds honest
     def __add__(self, other):
-        if isinstance(other, int) and other >= 0:
-            return Astronomical(self.bits, f"({self._shorten()} + {other})")
-        if isinstance(other, Astronomical):
-            bits = max(self.bits or 0, other.bits or 0) or None
-            return Astronomical(bits, f"({self._shorten()} + {other._shorten()})")
-        return NotImplemented
+        return Astronomical("({} + {})", self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, int) and other >= 1:
-            bits = None if self.bits is None else self.bits + other.bit_length() - 1
-            return Astronomical(bits, f"({self._shorten()} * {other})")
-        if isinstance(other, Astronomical):
-            bits = (
-                None
-                if self.bits is None or other.bits is None
-                else self.bits + other.bits
-            )
-            return Astronomical(bits, f"({self._shorten()} * {other._shorten()})")
-        return NotImplemented
+        return Astronomical("({} * {})", self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if isinstance(exponent, int) and exponent >= 1:
-            bits = None if self.bits is None else self.bits * exponent
-            return Astronomical(bits, f"({self._shorten()})^{exponent}")
-        return NotImplemented
+        return Astronomical("({})^{}", self, exponent)
 
 
 def _pow2(exponent) -> int | Astronomical:
     """2**exponent, materialized only while it stays printable."""
-    if isinstance(exponent, int):
-        if exponent <= MAX_EXACT_BITS:
-            return 1 << exponent
-        return Astronomical(exponent, f"2^{exponent}")
-    bits = None
-    if exponent.bits is not None and exponent.bits <= 30:
-        bits = 1 << exponent.bits
-    return Astronomical(bits, f"2^{exponent._shorten()}")
+    if isinstance(exponent, int) and exponent <= MAX_EXACT_BITS:
+        return 1 << exponent
+    return Astronomical("2^{}", exponent)
 
 
 @dataclass(frozen=True)
@@ -608,14 +565,17 @@ def trace_from_json(text: str) -> KernelTrace:
     steps = []
     for item in doc:
         try:
-            steps.append(
-                TraceStep(
-                    omitted=tuple(int(v) for v in item["omitted"]),
-                    keeper_root=int(item["keeper_root"]),
-                    delta={int(src): int(dst) for src, dst in item["delta"].items()},
-                    names={int(v): str(name) for v, name in item.get("names", {}).items()},
-                )
+            step = TraceStep(
+                omitted=tuple(int(v) for v in item["omitted"]),
+                keeper_root=int(item["keeper_root"]),
+                delta={int(src): int(dst) for src, dst in item["delta"].items()},
+                names={int(v): str(name) for v, name in item.get("names", {}).items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise KernelError(f"malformed trace step: {exc}") from None
+        mentioned = set(step.omitted) | set(step.delta) | set(step.delta.values())
+        unnamed = mentioned - set(step.names)
+        if unnamed:
+            raise KernelError(f"trace step names no variable for ids {sorted(unnamed)}")
+        steps.append(step)
     return KernelTrace(steps)

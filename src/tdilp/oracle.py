@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
 from .instance import IlpError, IlpInstance
 from .outcome import SolveOutcome
 from .structure import Graph, TreedepthDecomposition
@@ -32,6 +30,12 @@ def brute_force_ilp(instance: IlpInstance, box: int, budget: int = 10**8) -> Sol
     in the solver's leaf order: variable ids ascending, values ascending,
     except descending on variables with a positive objective coefficient.
     """
+    try:
+        import numpy as np  # only here, so that numpy stays off the solve path
+    except ImportError:
+        raise IlpError(
+            "the ILP oracle needs numpy; install the 'test' extra: pip install -e '.[test]'"
+        ) from None
     if box < 0:
         raise ValueError("box radius must be non-negative")
     ids = instance.ids()

@@ -25,13 +25,7 @@ from .instance import (
 )
 from .kernelizer import KernelError, KernelTrace, kernelize, lift_solution
 from .outcome import SolveOutcome
-from .structure import (
-    TreedepthDecomposition,
-    build_primal_graph,
-    compute_treedepth_exact,
-    dfs_treedepth_heuristic,
-    verify_treedepth_decomposition,
-)
+from .structure import TreedepthDecomposition, decompose
 
 
 @dataclass(frozen=True)
@@ -503,28 +497,15 @@ def solve_pipeline(
     decomposition: TreedepthDecomposition | None = None,
     *,
     use_kernel: bool = True,
-    virtual_root: bool = True,
     propagate: bool = False,
     bound: int | None = None,
-    exact_td_threshold: int = 12,
 ) -> tuple[SolveOutcome, PipelineInfo]:
-    """kernelize -> core solve -> lift, with the decomposition made or checked."""
-    graph = build_primal_graph(instance)
-    if decomposition is not None:
-        if set(decomposition.parent) != set(instance.ids()):
-            raise KernelError("decomposition nodes differ from instance variables")
-        if not verify_treedepth_decomposition(graph, decomposition):
-            raise KernelError("supplied decomposition misses a primal edge")
-        td_mode = "given"
-    elif graph.n <= exact_td_threshold:
-        _, decomposition = compute_treedepth_exact(graph)
-        td_mode = "exact"
-    else:
-        decomposition = dfs_treedepth_heuristic(graph)
-        td_mode = "dfs"
+    """kernelize -> core solve -> lift, with the decomposition made or
+    checked by structure.decompose."""
+    decomposition, td_mode = decompose(instance, decomposition)
 
     if use_kernel:
-        kernel, _, trace = kernelize(instance, decomposition, virtual_root=virtual_root)
+        kernel, _, trace = kernelize(instance, decomposition)
     else:
         kernel, trace = instance, KernelTrace()
 
@@ -542,13 +523,14 @@ def solve_pipeline(
         outcome = SolveOutcome.optimal(value, lifted)
 
     outcome = outcome.with_counts(kernel.n_variables, instance.n_variables)
+    certified = solution_bound(kernel).radius
     info = PipelineInfo(
         td_mode=td_mode,
         decomposition=decomposition,
         kernel=kernel,
         trace=trace,
-        certified_radius=solution_bound(kernel).radius,
-        radius=bound if bound is not None else solution_bound(kernel).radius,
+        certified_radius=certified,
+        radius=certified if bound is None else bound,
     )
     return outcome, info
 

@@ -47,11 +47,6 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    @staticmethod
-    def dense(n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
-        """Graph on vertices 0..n-1."""
-        return Graph(range(n), edges)
-
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -386,6 +381,32 @@ def verify_treedepth_decomposition(graph: Graph, decomposition: TreedepthDecompo
         if not (decomposition.is_ancestor(u, v) or decomposition.is_ancestor(v, u)):
             return False
     return True
+
+
+# primal graphs up to this many vertices get exact treedepth, larger ones DFS
+EXACT_TD_VERTICES = 12
+
+
+def decompose(
+    instance: IlpInstance,
+    witness: TreedepthDecomposition | TreeDecompositionWitness | None = None,
+) -> tuple[TreedepthDecomposition, str]:
+    """The decomposition a solve uses, with its mode.
+
+    A supplied witness must be a treedepth decomposition of the primal
+    graph (mode "given"); without one, small graphs get exact treedepth
+    ("exact") and larger ones the DFS heuristic ("dfs").
+    """
+    graph = build_primal_graph(instance)
+    if witness is not None:
+        if not isinstance(witness, TreedepthDecomposition):
+            raise StructureError("a treedepth witness is required")
+        if not verify_treedepth_decomposition(graph, witness):
+            raise StructureError("supplied decomposition misses a primal edge")
+        return witness, "given"
+    if graph.n <= EXACT_TD_VERTICES:
+        return compute_treedepth_exact(graph)[1], "exact"
+    return dfs_treedepth_heuristic(graph), "dfs"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """The command-line surface, driven through run() for speed."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdilp
 from tdilp.cli import run
 
 TWO_BLOCKS = (
@@ -92,6 +97,19 @@ def test_solve_rejects_treewidth_witness_for_td(two_blocks, tmp_path, capsys):
     assert run(["solve", two_blocks, "--td", str(f)]) == 2
 
 
+@pytest.mark.parametrize("parent", [
+    [-1, -1, 0],  # z (id 2) hangs under a1, away from a2: not vertical
+    [-1, 0],  # two nodes for three variables
+])
+def test_solve_rejects_invalid_td_witness(two_blocks, tmp_path, capsys, parent):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"kind": "treedepth", "parent": parent}))
+    assert run(["solve", two_blocks, "--td", str(w)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_kernelize_lift_roundtrip(two_blocks, tmp_path, capsys):
     kern = tmp_path / "kernel.ilp"
     trace = tmp_path / "trace.json"
@@ -109,6 +127,26 @@ def test_kernelize_lift_roundtrip(two_blocks, tmp_path, capsys):
     assert doc["assignment"] == {"a1": 4, "a2": 4, "z": 4}
     assert doc["kernel_vars"] == 2
     assert doc["original_vars"] == 3
+
+
+GOOD_STEP = {"omitted": [1], "keeper_root": 0, "delta": {"0": 1}, "names": {"0": "a1", "1": "a2"}}
+KERNEL_SOLUTION = {"status": "optimal", "value": 4, "assignment": {"a1": 4, "z": 4}}
+
+
+@pytest.mark.parametrize("trace,solution", [
+    ([{**GOOD_STEP, "delta": [[0, 1]]}], KERNEL_SOLUTION),  # delta is not an object
+    ([{**GOOD_STEP, "names": {"0": "a1"}}], KERNEL_SOLUTION),  # id 1 has no name
+    ([GOOD_STEP], [KERNEL_SOLUTION]),  # the solution is not an object
+], ids=["delta-not-object", "unnamed-id", "solution-not-object"])
+def test_lift_rejects_malformed_input(tmp_path, capsys, trace, solution):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(solution))
+    assert run(["lift", "--trace", str(trace_file), "--solution", str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_generate_vc_to_stdout(triangle, capsys):
@@ -166,6 +204,23 @@ def test_oracle_ilp(two_blocks, capsys):
     assert doc["value"] == 4
 
 
+def test_oracle_ilp_without_numpy(two_blocks, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    assert run(["oracle", "ilp", two_blocks, "--box", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "'test' extra" in captured.err
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the exhaustive oracle; a solve must not import it
+    src = str(Path(tdilp.__file__).resolve().parents[1])
+    code = "import sys, tdilp.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_oracle_verdict_commands(triangle, capsys):
     assert run(["oracle", "3col", "--graph", triangle]) == 0
     assert capsys.readouterr().out.strip() == "true"
@@ -195,6 +250,14 @@ def test_bounds_astronomical(capsys):
     assert "2^" in capsys.readouterr().out
 
 
+def test_bounds_past_the_int_string_limit(capsys):
+    # d_3 has 5,060 digits, more than str() converts by default
+    assert run(["bounds", "--ell", "3", "--k", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "3  ~2^16807 (16808 bits)  ~2^16807 (16808 bits)"
+    assert out[-1] == "e_1 = astronomically large"
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run([]) == 2
     assert run(["solve", str(tmp_path / "missing.ilp")]) == 2
@@ -202,11 +265,6 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("max: x\nx ?? 3\n")
     assert run(["solve", str(bad)]) == 2
     assert run(["bounds", "--ell", "1", "--k", "0"]) == 2
-
-
-def test_threads_flag_accepted(two_blocks, capsys):
-    assert run(["--threads", "4", "solve", two_blocks]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 4
 
 
 def test_determinism_byte_for_byte(two_blocks, triangle, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tdilp import (
     BoxBound,
+    IlpError,
     InstanceBuilder,
     TreedepthDecomposition,
     parse_instance,
@@ -132,6 +133,16 @@ def test_pipeline_accepts_supplied_decomposition():
     outcome, info = solve_pipeline(ins, dec)
     assert outcome.value == 4
     assert info.td_mode == "given"
+
+
+@pytest.mark.parametrize("parent", [
+    {0: ROOT, 1: ROOT, 2: 0},  # z (id 2) and a2 (id 1) are not vertical
+    {2: ROOT, 0: 2},  # a2 is missing
+])
+def test_pipeline_rejects_bad_decomposition(parent):
+    ins = _parse("max: z\nz - a1 <= 0\na1 <= 4\nz - a2 <= 0\na2 <= 4\n")
+    with pytest.raises(IlpError):
+        solve_pipeline(ins, TreedepthDecomposition(parent))
 
 
 def test_solve_with_and_without_kernel_agree():

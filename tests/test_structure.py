@@ -15,6 +15,7 @@ from tdilp.structure import (
     TreeDecompositionWitness,
     build_primal_graph,
     compute_treedepth_exact,
+    decompose,
     dfs_treedepth_heuristic,
     parse_graph_file,
     serialize_graph,
@@ -92,6 +93,35 @@ def test_dfs_heuristic_roots_at_max_degree():
     d = dfs_treedepth_heuristic(star)
     assert verify_treedepth_decomposition(star, d)
     assert d.height == 2  # hub first keeps the star flat
+
+
+def _path_instance(n: int):
+    return parse_instance("max: 0\n" + "".join(f"x{i} - x{i + 1} <= 0\n" for i in range(n - 1)))
+
+
+def test_decompose_picks_exact_up_to_twelve_vertices_then_dfs():
+    for n, mode in [(2, "exact"), (12, "exact"), (13, "dfs")]:
+        ins = _path_instance(n)
+        graph = build_primal_graph(ins)
+        dec, got = decompose(ins)
+        assert got == mode
+        assert verify_treedepth_decomposition(graph, dec)
+        if mode == "exact":
+            assert dec == compute_treedepth_exact(graph)[1]
+        else:
+            assert dec == dfs_treedepth_heuristic(graph)
+
+
+def test_decompose_checks_a_given_witness():
+    ins = _path_instance(3)  # ids by name: x0 - x1 - x2
+    good = TreedepthDecomposition({1: ROOT, 0: 1, 2: 1})
+    assert decompose(ins, good) == (good, "given")
+    bags = TreeDecompositionWitness({0: ROOT}, {0: [0, 1, 2]})
+    not_vertical = TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT})
+    wrong_nodes = TreedepthDecomposition({1: ROOT, 0: 1})
+    for witness in (bags, not_vertical, wrong_nodes):
+        with pytest.raises(StructureError):
+            decompose(ins, witness)
 
 
 def test_primal_graph_co_occurrence_and_objective_clique():
