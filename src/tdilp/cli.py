@@ -3,7 +3,8 @@
 Every command is deterministic given identical inputs and flags, and the
 exit code is scriptable: 0 success, 1 negative verdict (infeasible
 instance, failed witness, "false" oracle answer), 2 usage or input
-error, 3 resource cap hit (search box exhausted, oracle budget).
+error, 3 resource cap hit (search box exhausted, oracle budget), 4 internal
+fault (a failed self-check or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ OK = 0
 NO = 1
 USAGE = 2
 RESOURCE = 3
+INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -332,12 +334,15 @@ def run(argv: list[str] | None = None) -> int:
     except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
-    except (IlpError, StructureError, ValueError, json.JSONDecodeError) as exc:
+    except (IlpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    except Exception as exc:  # not BaseException: signals and exits pass through
+        import traceback  # only a crash pays for this import
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL
 
 
 def main() -> None:

@@ -38,6 +38,10 @@ class IlpSyntaxError(IlpError):
         super().__init__(message)
 
 
+class InternalError(Exception):
+    """A self-check failed: a fault in tdilp itself, not in its input."""
+
+
 class MissingVariableError(IlpError):
     """An assignment lacks a value for a variable that is being evaluated."""
 
@@ -54,30 +58,18 @@ class VariableId:
     name: str
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """A single row  sum(coeff * var) <= rhs  in canonical form.
+def _merge_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sum the coefficients per variable id, drop zeros, sort by id."""
+    merged: dict[int, int] = {}
+    for var, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        merged[var] = merged.get(var, 0) + coeff
+    return tuple(sorted((v, c) for v, c in merged.items() if c != 0))
 
-    ``terms`` holds (variable id, coefficient) pairs sorted by id with no
-    zero coefficients; ``terms`` is never empty.
-    """
+
+class _Terms:
+    """Reads over ``terms``: (variable id, coefficient) pairs sorted by id."""
 
     terms: tuple[tuple[int, int], ...]
-    rhs: int
-
-    @staticmethod
-    def make(terms: Mapping[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = list(terms)
-        merged: dict[int, int] = {}
-        for var, coeff in items:
-            merged[var] = merged.get(var, 0) + coeff
-        cleaned = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
-        if not cleaned:
-            raise IlpError("constraint has no variables after dropping zero coefficients")
-        return LinearConstraint(cleaned, rhs)
 
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
@@ -95,6 +87,25 @@ class LinearConstraint:
                 raise MissingVariableError(f"no value for variable id {v}")
             total += c * assignment[v]
         return total
+
+
+@dataclass(frozen=True)
+class LinearConstraint(_Terms):
+    """A single row  sum(coeff * var) <= rhs  in canonical form.
+
+    ``terms`` holds (variable id, coefficient) pairs sorted by id with no
+    zero coefficients; ``terms`` is never empty.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+    rhs: int
+
+    @staticmethod
+    def make(terms: Mapping[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
+        cleaned = _merge_terms(terms)
+        if not cleaned:
+            raise IlpError("constraint has no variables after dropping zero coefficients")
+        return LinearConstraint(cleaned, rhs)
 
     def is_satisfied(self, assignment: Mapping[int, int]) -> bool:
         return self.evaluate(assignment) <= self.rhs
@@ -110,41 +121,17 @@ class LinearConstraint:
 
 
 @dataclass(frozen=True)
-class LinearObjective:
+class LinearObjective(_Terms):
     """Objective terms; the sense is always "maximize"."""
 
     terms: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
     def make(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LinearObjective":
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = list(terms)
-        merged: dict[int, int] = {}
-        for var, coeff in items:
-            merged[var] = merged.get(var, 0) + coeff
-        return LinearObjective(tuple(sorted((v, c) for v, c in merged.items() if c != 0)))
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.terms)
-
-    def coefficient(self, var: int) -> int:
-        for v, c in self.terms:
-            if v == var:
-                return c
-        return 0
+        return LinearObjective(_merge_terms(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, assignment: Mapping[int, int]) -> int:
-        total = 0
-        for v, c in self.terms:
-            if v not in assignment:
-                raise MissingVariableError(f"no value for variable id {v}")
-            total += c * assignment[v]
-        return total
 
     def without(self, drop: frozenset[int] | set[int]) -> "LinearObjective":
         return LinearObjective(tuple((v, c) for v, c in self.terms if v not in drop))
@@ -230,10 +217,6 @@ class IlpInstance:
             return NotImplemented
         return self._name_form() == other._name_form()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None  # mutable-free but identity hashing would be misleading
 
     def __repr__(self):
@@ -245,11 +228,6 @@ class IlpInstance:
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def evaluate_constraint(constraint: LinearConstraint, assignment: Mapping[int, int]) -> int:
-    """Exact left-hand-side value of a row under an assignment."""
-    return constraint.evaluate(assignment)
 
 
 def evaluate_objective(instance: IlpInstance, assignment: Mapping[int, int]) -> int:
@@ -375,19 +353,14 @@ _REL_RE = re.compile(r"(<=|>=|==|=|<|>)")
 def parse_instance(text: str) -> IlpInstance:
     """Parse the text format into a normalized instance.
 
-    Ids are assigned by the lexicographic rank of the variable name, so
-    parsing is insensitive to the order in which lines mention variables
-    and ``parse(serialize(i))`` reproduces ``i`` exactly for any instance
-    that came out of this function.
+    Rows go through ``InstanceBuilder``, so ids are assigned by the
+    lexicographic rank of the variable name: parsing is insensitive to the
+    order in which lines mention variables and ``parse(serialize(i))``
+    reproduces ``i`` exactly for any instance that came out of this function.
+    Every line is scanned before any row is added, so a scan error on a later
+    line wins over an empty row on an earlier one.
     """
-    order: list[str] = []
-    known: set[str] = set()
-
-    def declare(name: str):
-        if name not in known:
-            known.add(name)
-            order.append(name)
-
+    builder = InstanceBuilder()
     objective_terms: dict[str, int] | None = None
     raw_rows: list[tuple[dict[str, int], str, int, int]] = []
 
@@ -399,7 +372,7 @@ def parse_instance(text: str) -> IlpInstance:
             m = re.match(r"max\s*:\s*(.*)$", line)
             if not m:
                 raise IlpSyntaxError("first line must be 'max: <expression>'", line_no)
-            terms, constant = _parse_linexpr(m.group(1), line_no, declare)
+            terms, constant = _parse_linexpr(m.group(1), line_no, builder.var)
             if constant != 0:
                 raise IlpSyntaxError("objective must not contain a constant term", line_no)
             objective_terms = terms
@@ -408,43 +381,25 @@ def parse_instance(text: str) -> IlpInstance:
         if not rel:
             raise IlpSyntaxError("constraint needs one of <=, >=, =, <, >", line_no)
         lhs_text, op, rhs_text = line[: rel.start()], rel.group(1), line[rel.end() :]
-        terms, constant = _parse_linexpr(lhs_text, line_no, declare)
+        terms, constant = _parse_linexpr(lhs_text, line_no, builder.var)
         rhs = _parse_int(rhs_text, line_no) - constant
         raw_rows.append((terms, op, rhs, line_no))
 
     if objective_terms is None:
         raise IlpSyntaxError("missing objective line", 1)
 
-    ranked = sorted(known)
-    id_by_name = {name: i for i, name in enumerate(ranked)}
-    variables = [VariableId(i, name) for name, i in id_by_name.items()]
-
-    constraints: list[LinearConstraint] = []
-
-    def add_le(terms: dict[str, int], rhs: int, line_no: int):
-        mapped = {id_by_name[n]: c for n, c in terms.items() if c != 0}
-        if not mapped:
-            raise IlpSyntaxError("constraint has no variables", line_no)
-        constraints.append(LinearConstraint.make(mapped, rhs))
-
     for terms, op, rhs, line_no in raw_rows:
-        neg = {n: -c for n, c in terms.items()}
-        if op == "<=":
-            add_le(terms, rhs, line_no)
-        elif op == "<":
-            add_le(terms, rhs - 1, line_no)
-        elif op == ">=":
-            add_le(neg, -rhs, line_no)
-        elif op == ">":
-            add_le(neg, -rhs - 1, line_no)
-        elif op in ("=", "=="):
-            add_le(terms, rhs, line_no)
-            add_le(neg, -rhs, line_no)
-
-    objective = LinearObjective.make(
-        {id_by_name[n]: c for n, c in objective_terms.items() if c != 0}
-    )
-    return IlpInstance(variables, constraints, objective)
+        try:
+            if op in ("<=", "<"):
+                builder.add_le(terms, rhs - 1 if op == "<" else rhs)
+            elif op in (">=", ">"):
+                builder.add_ge(terms, rhs + 1 if op == ">" else rhs)
+            else:
+                builder.add_eq(terms, rhs)
+        except IlpError as exc:  # the builder's empty-row check
+            raise IlpSyntaxError(str(exc), line_no) from None
+    builder.set_objective(objective_terms)
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +457,23 @@ def serialize_instance(instance: IlpInstance) -> str:
 class InstanceBuilder:
     """Accumulates rows keyed by variable name, then builds a normalized instance.
 
-    ``build`` assigns ids by name rank, exactly like the parser, so built
-    instances serialize and reload without surprises.
+    This is the one code path from named rows to an ``IlpInstance``;
+    ``parse_instance`` builds through it.  ``add_ge`` and ``add_eq`` fold
+    into ``<=`` rows, and ``build`` numbers ids by the lexicographic rank of
+    the name, so built instances serialize and reload unchanged.
     """
 
     def __init__(self):
-        self._names: list[str] = []
         self._known: set[str] = set()
         self._rows: list[tuple[dict[str, int], int]] = []
         self._objective: dict[str, int] = {}
         self._built: IlpInstance | None = None
 
     def var(self, name: str) -> str:
-        if not _NAME_RE.fullmatch(name):
-            raise IlpError(f"invalid variable name {name!r}")
         if name not in self._known:
+            if not _NAME_RE.fullmatch(name):
+                raise IlpError(f"invalid variable name {name!r}")
             self._known.add(name)
-            self._names.append(name)
         return name
 
     def add_le(self, terms: Mapping[str, int], rhs: int):

@@ -294,13 +294,8 @@ class _Pruner:
         self.gone_rows: set[int] = set()
 
     def _subtree(self, x: int) -> tuple[int, ...]:
-        out, stack = [x], [x]
-        while stack:
-            for c in self.decomposition.children(stack.pop()):
-                if c not in self.gone_vars:
-                    out.append(c)
-                    stack.append(c)
-        return tuple(sorted(out))
+        # pruned nodes always form whole subtrees, so filtering is enough
+        return tuple(v for v in self.decomposition.subtree(x) if v not in self.gone_vars)
 
     def _touching(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
         rows = {i for v in nodes for i in self.rows_of[v]}

@@ -16,14 +16,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .instance import (
-    IlpError,
     IlpInstance,
+    InternalError,
     LinearConstraint,
     check_feasible,
     evaluate_objective,
     max_abs_coefficient,
 )
-from .kernelizer import KernelError, KernelTrace, kernelize, lift_solution
+from .kernelizer import KernelTrace, kernelize, lift_solution
 from .outcome import SolveOutcome
 from .structure import TreedepthDecomposition, decompose
 
@@ -474,9 +474,9 @@ def solve_core(
         )
 
     if not check_feasible(instance, outcome.assignment):
-        raise IlpError("search returned an infeasible point")
+        raise InternalError("search returned an infeasible point")
     if evaluate_objective(instance, outcome.assignment) != outcome.value:
-        raise IlpError("search returned an inconsistent objective value")
+        raise InternalError("search returned an inconsistent objective value")
     return outcome
 
 
@@ -514,12 +514,12 @@ def solve_pipeline(
     if outcome.is_optimal():
         lifted = lift_solution(trace, outcome.assignment)
         if set(lifted) != set(instance.ids()):
-            raise KernelError("lifted assignment does not cover the instance")
+            raise InternalError("lifted assignment does not cover the instance")
         if not check_feasible(instance, lifted):
-            raise KernelError("lifted assignment violates a constraint")
+            raise InternalError("lifted assignment violates a constraint")
         value = evaluate_objective(instance, lifted)
         if value != outcome.value:
-            raise KernelError("lifting changed the objective value")
+            raise InternalError("lifting changed the objective value")
         outcome = SolveOutcome.optimal(value, lifted)
 
     outcome = outcome.with_counts(kernel.n_variables, instance.n_variables)

@@ -72,23 +72,7 @@ class Graph:
         return Graph(kept, [(u, v) for u, v in self.edges if u in kept and v in kept])
 
     def connected_components(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for s in self.vertices:
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            queue = [s]
-            while queue:
-                v = queue.pop()
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        queue.append(w)
-            out.append(tuple(sorted(comp)))
-        return out
+        return [tuple(sorted(c)) for c in _components_within(frozenset(self.vertices), self)]
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1

@@ -267,6 +267,23 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["bounds", "--ell", "1", "--k", "0"]) == 2
 
 
+def _recursion_error(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "stage, fake",
+    [("tdilp.solver.check_feasible", lambda *args: False), ("tdilp.solver.kernelize", _recursion_error)],
+)
+def test_internal_faults_exit_4(two_blocks, capsys, monkeypatch, stage, fake):
+    # a failed self-check or a crash is neither a verdict (0/1/3) nor a usage error (2)
+    monkeypatch.setattr(stage, fake)
+    assert run(["solve", two_blocks]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 def test_determinism_byte_for_byte(two_blocks, triangle, capsys):
     runs = []
     for _ in range(2):

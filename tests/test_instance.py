@@ -12,7 +12,6 @@ from tdilp.instance import (
     LinearObjective,
     VariableId,
     check_feasible,
-    evaluate_constraint,
     evaluate_objective,
     max_abs_coefficient,
     omit_variables,
@@ -80,6 +79,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(IlpSyntaxError) as e:
         parse_instance("max: x\n0 x <= 5\n")
     assert e.value.line == 2
+    with pytest.raises(IlpSyntaxError) as e:  # every line is scanned before rows are added
+        parse_instance("max: x\n0 x <= 5\nx <=\n")
+    assert e.value.line == 3
 
 
 def test_serialize_objective_first_and_sorted_rows():
@@ -207,4 +209,84 @@ def test_serialize_parse_roundtrip(ins):
 def test_evaluate_constraint_matches_sum(ins, partial):
     a = {v.id: partial.get(v.id, 0) for v in ins.variables}
     for c in ins.constraints:
-        assert evaluate_constraint(c, a) == sum(coef * a[var] for var, coef in c.terms)
+        assert c.evaluate(a) == sum(coef * a[var] for var, coef in c.terms)
+
+
+# (method, rhs shift) that each relation means for InstanceBuilder
+_RELATIONS = {
+    "<=": ("add_le", 0),
+    "<": ("add_le", -1),
+    ">=": ("add_ge", 0),
+    ">": ("add_ge", 1),
+    "=": ("add_eq", 0),
+    "==": ("add_eq", 0),
+}
+_TEXT_NAMES = ["a", "b", "x_1", "y'", "zz"]
+text_names = st.sampled_from(_TEXT_NAMES)
+# (coefficient, name or None for a constant, spelling of the coefficient)
+text_terms = st.lists(
+    st.tuples(coeffs, st.sampled_from([None, *_TEXT_NAMES]), st.integers(0, 3)), min_size=1, max_size=4
+)
+
+
+def _render(terms) -> str:
+    chunks = []
+    for i, (coeff, name, style) in enumerate(terms):
+        mag = abs(coeff)
+        if name is None:
+            body = str(mag)
+        elif mag == 1 and style == 0:
+            body = name
+        else:
+            body = (f"{mag} {name}", f"{mag}{name}", f"{mag}*{name}")[style % 3]
+        sign = "-" if coeff < 0 else "+" if i else ""
+        chunks.append(f"{sign} {body}" if sign else body)
+    return " ".join(chunks)
+
+
+def _named(terms) -> tuple[dict[str, int], int]:
+    named: dict[str, int] = {}
+    constant = 0
+    for coeff, name, _ in terms:
+        if name is None:
+            constant += coeff
+        else:
+            named[name] = named.get(name, 0) + coeff
+    return named, constant
+
+
+@given(
+    st.lists(st.tuples(coeffs, text_names, st.integers(0, 3)), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(text_terms, st.sampled_from(sorted(_RELATIONS)), st.integers(-5, 5)), max_size=5
+    ),
+)
+def test_parser_builds_like_builder(objective, rows):
+    lines = [f"max: {_render(objective)}"]
+    b = InstanceBuilder()
+    obj, _ = _named(objective)
+    for name in obj:
+        b.var(name)
+    b.set_objective(obj)
+    empty_line = None
+    for line_no, (terms, rel, rhs) in enumerate(rows, start=2):
+        lines.append(f"{_render(terms)} {rel} {rhs}")
+        named, constant = _named(terms)
+        for name in named:
+            b.var(name)
+        if not any(named.values()):
+            empty_line = empty_line or line_no
+            continue
+        method, shift = _RELATIONS[rel]
+        getattr(b, method)(named, rhs - constant + shift)
+    text = "\n".join(lines) + "\n"
+    if empty_line is not None:
+        with pytest.raises(IlpSyntaxError) as e:
+            parse_instance(text)
+        assert e.value.line == empty_line
+        return
+    parsed, built = parse_instance(text), b.build()
+    assert parsed.variables == built.variables
+    assert parsed.constraints == built.constraints
+    assert parsed.objective == built.objective
+    assert all(parsed.id_of(v.name) == b.id_of(v.name) for v in built.variables)

@@ -12,7 +12,6 @@ from tdilp import (
     verify_tree_decomposition,
     verify_treedepth_decomposition,
 )
-from tdilp.instance import evaluate_constraint
 from tdilp.oracle import (
     brute_force_ilp,
     brute_three_coloring,
