@@ -3,8 +3,9 @@
 Every command is deterministic given identical inputs and flags, and the
 exit code is scriptable: 0 success, 1 negative verdict (infeasible
 instance, failed witness, "false" oracle answer), 2 usage or input
-error, 3 resource cap hit (search box exhausted, oracle budget), 4 internal
-fault (a failed self-check or any other unexpected exception).
+error, 3 resource cap hit (a user-shrunk search box came up empty or its
+maximum is beaten outside it, oracle budget), 4 internal fault (a failed
+self-check or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .oracle import (
     subset_sum_dp,
     treedepth_reference,
 )
-from .outcome import BOUND_EXHAUSTED, INFEASIBLE, SolveOutcome
+from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, SolveOutcome
 from .reductions import (
     SubsetSumInstance,
     reduce_subset_sum,
@@ -77,7 +78,7 @@ def _load_witness(path: str | None):
 def _outcome_exit(outcome: SolveOutcome) -> int:
     if outcome.status == INFEASIBLE:
         return NO
-    if outcome.status == BOUND_EXHAUSTED:
+    if outcome.status in (BOUND_EXHAUSTED, BOX_OPTIMAL):
         return RESOURCE
     return OK
 

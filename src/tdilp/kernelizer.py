@@ -15,6 +15,7 @@ then a backtracking bijection search certifies or refutes each pair.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -157,12 +158,16 @@ def _find_renaming(
     by_sig_y: dict[tuple, list[int]] = {}
     for w in Y:
         by_sig_y.setdefault(sig_y[w], []).append(w)
+    # per pool, the sorted positions of its candidates not placed yet: the
+    # next free candidate is one binary search away, not a walk past every
+    # used one
+    free_of_sig = {sig: list(range(len(pool))) for sig, pool in by_sig_y.items()}
     candidates = []
     for v in X:
         pool = by_sig_y.get(sig_x[v])
         if not pool:
             return None
-        candidates.append(pool)
+        candidates.append((pool, free_of_sig[sig_x[v]]))
 
     target_keys = {c.sort_key() for c in fy}
     var_to_rows: dict[int, list[int]] = {v: [] for v in X}
@@ -174,25 +179,25 @@ def _find_renaming(
             var_to_rows[v].append(ci)
 
     delta: dict[int, int] = {}
-    used: set[int] = set()
-    tried = [0] * len(X)  # candidates of X[k] already tried at depth k
+    # pool positions of X[k] already tried at depth k; while X[k] is placed,
+    # the last of them is delta[X[k]]'s
+    tried = [0] * len(X)
 
-    def unplace(v: int) -> None:
+    def unplace(k: int) -> None:
+        v = X[k]
         for ci in var_to_rows[v]:
             pending[ci] += 1
-        used.discard(delta.pop(v))
+        del delta[v]
+        insort(candidates[k][1], tried[k] - 1)
 
     def place_next(k: int) -> bool:
         """Map X[k] to its next untried free candidate whose completed rows
         all land in fy; False once the candidates run out."""
-        v, pool = X[k], candidates[k]
-        while tried[k] < len(pool):
-            w = pool[tried[k]]
-            tried[k] += 1
-            if w in used:
-                continue
-            delta[v] = w
-            used.add(w)
+        v, (pool, free) = X[k], candidates[k]
+        while (i := bisect_left(free, tried[k])) < len(free):
+            pos = free.pop(i)
+            tried[k] = pos + 1
+            delta[v] = pool[pos]
             ok = True
             for ci in var_to_rows[v]:
                 pending[ci] -= 1
@@ -200,7 +205,7 @@ def _find_renaming(
                     ok = _renamed_key(fx[ci], delta) in target_keys
             if ok:
                 return True
-            unplace(v)
+            unplace(k)
         tried[k] = 0
         return False
 
@@ -215,7 +220,7 @@ def _find_renaming(
             continue
         k -= 1
         if k >= 0:
-            unplace(X[k])
+            unplace(k)
     return None
 
 

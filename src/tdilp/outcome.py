@@ -10,8 +10,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 BOUND_EXHAUSTED = "bound_exhausted"
+BOX_OPTIMAL = "box_optimal"
 
-_STATUSES = (OPTIMAL, INFEASIBLE, UNBOUNDED, BOUND_EXHAUSTED)
+_STATUSES = (OPTIMAL, INFEASIBLE, UNBOUNDED, BOUND_EXHAUSTED, BOX_OPTIMAL)
 
 
 @dataclass(frozen=True)
@@ -19,8 +20,10 @@ class SolveOutcome:
     """Result of an exact solve.
 
     ``value`` and ``assignment`` (variable id -> value) are populated only
-    for ``optimal``.  ``kernel_vars`` / ``original_vars`` report how many
-    variables the search actually ran on versus how many came in.
+    for ``optimal`` and ``box_optimal`` (the maximum over a user-shrunk box
+    that some point outside the box beats).  ``kernel_vars`` /
+    ``original_vars`` report how many variables the search actually ran on
+    versus how many came in.
     """
 
     status: str
@@ -32,9 +35,9 @@ class SolveOutcome:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == OPTIMAL:
+        if self.status in (OPTIMAL, BOX_OPTIMAL):
             if self.value is None or self.assignment is None:
-                raise ValueError("optimal outcome needs value and assignment")
+                raise ValueError(f"{self.status} outcome needs value and assignment")
         elif self.assignment is not None or self.value is not None:
             raise ValueError(f"{self.status} outcome must not carry a solution")
 

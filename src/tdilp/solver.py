@@ -1,9 +1,9 @@
 """Exact bounded-box solver and the full kernelize-solve-lift pipeline.
 
 The search is branch and bound over integer boxes: interval propagation
-per constraint, bisection branching, and an outer bisection on the
-objective value.  A certified box radius guarantees that a feasible
-instance has a feasible point inside the box, so "infeasible in the box"
+per constraint, endpoint-first or bisection branching, and an outer
+bisection on the objective value.  A certified box radius guarantees that
+a feasible instance has a feasible point inside the box, so "infeasible in the box"
 is a real infeasibility verdict whenever the box was not user-shrunk.
 Unboundedness reduces to feasibility of the integer recession system,
 solved by the same engine.
@@ -24,7 +24,7 @@ from .instance import (
     max_abs_coefficient,
 )
 from .kernelizer import KernelTrace, kernelize, lift_solution
-from .outcome import SolveOutcome
+from .outcome import BOX_OPTIMAL, OPTIMAL, SolveOutcome
 from .structure import TreedepthDecomposition, decompose
 
 
@@ -72,7 +72,10 @@ def _primitive(terms, rhs: int):
 class _SearchProgram:
     """Instance compiled to index-based rows for the propagation loop."""
 
-    __slots__ = ("ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n")
+    __slots__ = (
+        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n",
+        "rows_contradict", "cut_opposite",
+    )
 
     def __init__(self, instance: IlpInstance):
         self.ids = instance.ids()
@@ -94,28 +97,25 @@ class _SearchProgram:
         for ri, (terms, _) in enumerate(self.rows):
             for j, _ in terms:
                 self.var_rows[j].append(ri)
+        # Two rows a.x <= b1, -a.x <= b2 with b1 + b2 < 0 are a complete
+        # infeasibility proof, and interval propagation, converging one unit
+        # per pass on such a pair, never finishes it over a certified box.
+        # Rows are gcd-normalized, so every proportional pair is exactly
+        # opposite: index the tightest rhs per direction once, and leave each
+        # dive only its own cut row to check against the index.
+        tightest: dict[tuple[tuple[int, int], ...], int] = {}
+        for terms, rhs in self.rows:
+            if terms:
+                key = tuple(sorted(terms))
+                tightest[key] = min(rhs, tightest.get(key, rhs))
+        self.rows_contradict = any(
+            rhs + tightest.get(_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
+        )
+        self.cut_opposite = tightest.get(_opposite(self.cut_terms))
 
 
-def _opposing_pair_infeasible(rows) -> bool:
-    """True when two rows a.x <= b1, -a.x <= b2 combine into 0 <= b1+b2 < 0.
-
-    Interval propagation converges one unit per pass on such a pair, so
-    over a certified box it never finishes; the pair itself is a complete
-    infeasibility proof and costs one dictionary sweep.  Rows arrive
-    gcd-normalized, which makes every proportional pair exactly opposite.
-    """
-    best: dict[tuple[tuple[int, int], ...], int] = {}
-    for terms, rhs in rows:
-        if not terms:
-            continue
-        key = tuple(sorted(terms))
-        if rhs < best.get(key, rhs + 1):
-            best[key] = rhs
-    for key, rhs in best.items():
-        other = best.get(tuple((j, -c) for j, c in key))
-        if other is not None and rhs + other < 0:
-            return True
-    return False
+def _opposite(terms) -> tuple[tuple[int, int], ...]:
+    return tuple((j, -c) for j, c in terms)
 
 
 def _propagate(
@@ -213,17 +213,26 @@ def _dive(
 ) -> tuple[list[int], int] | None:
     """First leaf of {rows, obj >= threshold} in the fixed leaf order.
 
-    The leaf order is: bisect the lowest-id unfixed variable (narrowest
-    domain under min_domain_branching), upper half first exactly when the
-    variable's objective coefficient is positive.
+    The leaf order is: branch on the lowest-id unfixed variable (narrowest
+    domain under min_domain_branching), higher values first exactly when
+    the variable's objective coefficient is positive.  Every variable below
+    the lowest-id unfixed one is fixed, so in that mode the first leaf is
+    the lexicographically first feasible point whatever the split points
+    are; the split tries the preferred endpoint alone before bisecting the
+    rest, which finds a bound that propagation already reached in one node
+    instead of one node per bit of the radius.  Under min_domain_branching
+    the branch variable depends on the domain widths, so that mode keeps
+    plain bisection, and with it its leaf order.
     """
+    if radius < 0:
+        raise ValueError("box radius must be non-negative")
     n = program.n
     cut_rhs = None if threshold is None else (-threshold) // program.cut_gcd
-    probe_rows = list(program.rows)
-    if cut_rhs is not None and program.cut_terms:
-        probe_rows.append((program.cut_terms, cut_rhs))
-    if _opposing_pair_infeasible(probe_rows):
+    if program.rows_contradict:
         return None
+    if cut_rhs is not None and program.cut_opposite is not None:
+        if cut_rhs + program.cut_opposite < 0:
+            return None
     stack: list[tuple[list[int], list[int]]] = [([-radius] * n, [radius] * n)]
     while stack:
         lo, hi = stack.pop()
@@ -241,18 +250,63 @@ def _dive(
             if threshold is not None and value < threshold:
                 continue
             return point, value
-        mid = (lo[j] + hi[j]) // 2
-        lower = (list(lo), list(hi))
-        lower[1][j] = mid
-        upper = (list(lo), list(hi))
-        upper[0][j] = mid + 1
-        if program.obj[j] > 0:
-            stack.append(lower)
-            stack.append(upper)
-        else:
-            stack.append(upper)
-            stack.append(lower)
+        up = program.obj[j] > 0
+        first, last = lo[j], hi[j]
+        parts = []  # sub-domains of x_j in leaf order
+        if not min_domain_branching:
+            if up:
+                parts.append((last, last))
+                last -= 1
+            else:
+                parts.append((first, first))
+                first += 1
+        mid = (first + last) // 2
+        halves = [(first, mid), (mid + 1, last)]
+        parts += [h for h in (halves[::-1] if up else halves) if h[0] <= h[1]]
+        for a, b in reversed(parts):
+            child = (list(lo), list(hi))
+            child[0][j], child[1][j] = a, b
+            stack.append(child)
     return None
+
+
+def _maximize(
+    program: _SearchProgram,
+    radius: int,
+    hit: tuple[list[int], int],
+    min_domain_branching: bool,
+) -> tuple[list[int], int]:
+    """Bisect on the objective value upward from a first-feasible dive.
+
+    Each probe asks for the first leaf satisfying the rows plus obj >= t,
+    so the work per probe stays logarithmic in the box radius instead of
+    creeping upward one incumbent at a time.  The certificate is the first
+    optimum in the fixed leaf order.  Under lowest-id branching that is the
+    last successful probe's point: it is the lexicographically first point
+    of value >= t for some t <= optimum, and its value is the optimum.
+    Under min_domain_branching the tree depends on the cut, so one more
+    dive runs at the optimum itself.
+    """
+    if not program.cut_terms:
+        return hit
+    lo = hit[1]
+    hi = sum(abs(c) for c in program.obj) * radius
+    while lo < hi:
+        mid = lo + (hi - lo + 1) // 2
+        probe = _dive(program, radius, mid, min_domain_branching)
+        if probe is None:
+            hi = mid - 1
+        else:
+            hit = probe
+            lo = probe[1]
+    if min_domain_branching:
+        hit = _dive(program, radius, lo, True)
+    return hit
+
+
+def _optimal(program: _SearchProgram, hit: tuple[list[int], int], status: str = OPTIMAL):
+    point, value = hit
+    return SolveOutcome(status, value, {program.ids[k]: point[k] for k in range(program.n)})
 
 
 def bounded_search(
@@ -264,38 +318,17 @@ def bounded_search(
 ) -> SolveOutcome:
     """Exact maximum over the box, or infeasible-in-box.  Never unbounded.
 
-    The maximum is found by bisecting on the objective value: each probe
-    asks for the first leaf satisfying the rows plus obj >= t, so the
-    work per probe stays logarithmic in the box radius instead of
-    creeping upward one incumbent at a time.  The final probe runs at the
-    optimum itself, which makes the certificate the first optimum in the
-    fixed leaf order; deterministic and independent of probe history.
+    The first optimum in the fixed leaf order (see _dive and _maximize);
+    with first_feasible, the first feasible leaf.
     """
     radius = bound.radius if isinstance(bound, BoxBound) else int(bound)
-    if radius < 0:
-        raise ValueError("box radius must be non-negative")
     program = _SearchProgram(instance)
     hit = _dive(program, radius, None, min_domain_branching)
     if hit is None:
         return SolveOutcome.infeasible()
-    point, value = hit
-    if first_feasible or not any(program.obj):
-        return SolveOutcome.optimal(
-            value, {program.ids[k]: point[k] for k in range(program.n)}
-        )
-    lo = value
-    hi = sum(abs(c) for c in program.obj) * radius
-    while lo < hi:
-        mid = lo + (hi - lo + 1) // 2
-        probe = _dive(program, radius, mid, min_domain_branching)
-        if probe is None:
-            hi = mid - 1
-        else:
-            lo = probe[1]
-    point, value = _dive(program, radius, lo, min_domain_branching)
-    return SolveOutcome.optimal(
-        value, {program.ids[k]: point[k] for k in range(program.n)}
-    )
+    if not first_feasible:
+        hit = _maximize(program, radius, hit, min_domain_branching)
+    return _optimal(program, hit)
 
 
 # ---------------------------------------------------------------------------
@@ -446,32 +479,30 @@ def solve_core(
     """Infeasible / Unbounded / Optimal on one instance, no kernelization.
 
     A user-supplied bound below the certified radius turns an
-    infeasible-in-box verdict into bound_exhausted; a feasible point
-    found inside the smaller box is still reported optimal for that box.
+    infeasible-in-box verdict into bound_exhausted.  The maximum found in
+    such a box is optimal only when no point of the certified box beats
+    it; otherwise it is reported as box_optimal.
     """
     certified = solution_bound(instance).radius
     radius = certified if bound is None else bound
     search_instance = _propagation_presolve(instance) if propagate else instance
+    program = _SearchProgram(search_instance)
 
-    probe = bounded_search(
-        search_instance,
-        radius,
-        first_feasible=True,
-        min_domain_branching=propagate,
-    )
-    if not probe.is_optimal():
-        if bound is not None and bound < certified:
+    hit = _dive(program, radius, None, propagate)
+    if hit is None:
+        if radius < certified:
             return SolveOutcome.bound_exhausted()
         return SolveOutcome.infeasible()
 
-    if instance.objective.is_zero():
-        outcome = probe
-    else:
+    status = OPTIMAL
+    if not instance.objective.is_zero():
         if detect_unbounded(instance):
             return SolveOutcome.unbounded()
-        outcome = bounded_search(
-            search_instance, radius, min_domain_branching=propagate
-        )
+        hit = _maximize(program, radius, hit, propagate)
+        beaten = _dive(program, certified, hit[1] + 1, propagate) if radius < certified else None
+        if beaten is not None:
+            status = BOX_OPTIMAL
+    outcome = _optimal(program, hit, status)
 
     if not check_feasible(instance, outcome.assignment):
         raise InternalError("search returned an infeasible point")
@@ -511,7 +542,7 @@ def solve_pipeline(
 
     outcome = solve_core(kernel, propagate=propagate, bound=bound)
 
-    if outcome.is_optimal():
+    if outcome.assignment is not None:
         lifted = lift_solution(trace, outcome.assignment)
         if set(lifted) != set(instance.ids()):
             raise InternalError("lifted assignment does not cover the instance")
@@ -520,7 +551,7 @@ def solve_pipeline(
         value = evaluate_objective(instance, lifted)
         if value != outcome.value:
             raise InternalError("lifting changed the objective value")
-        outcome = SolveOutcome.optimal(value, lifted)
+        outcome = SolveOutcome(outcome.status, value, lifted)
 
     outcome = outcome.with_counts(kernel.n_variables, instance.n_variables)
     certified = solution_bound(kernel).radius

@@ -7,7 +7,7 @@ visible without -s.
 
 import pytest
 
-from tdilp import Graph
+from tdilp import Graph, InstanceBuilder
 
 # graphs use 1-based vertex labels, matching the generator conventions
 
@@ -37,6 +37,18 @@ def all_graphs(n: int):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Graph(range(1, n + 1), [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def deep_twin_paths(links: int):
+    """max z <= 5 beside two identical objective-free paths of `links`
+    variables, x_i + 2 x_{i+1} <= 3 along each."""
+    b = InstanceBuilder()
+    b.set_objective({"z": 1})
+    b.add_le({"z": 1}, 5)
+    for side in "pq":
+        for i in range(links - 1):
+            b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
+    return b.build()
 
 
 _VERDICTS: list[str] = []

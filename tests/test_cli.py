@@ -82,6 +82,17 @@ def test_solve_bound_exhausted_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "bound_exhausted"
 
 
+def test_solve_bound_beaten_outside_the_box(tmp_path, capsys):
+    f = tmp_path / "cap.ilp"
+    f.write_text("max: x\nx <= 5\n")
+    # x = 5 lies outside the box [-1, 1], so its maximum 1 is not optimal
+    assert run(["solve", str(f), "--bound", "1"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["value"], doc["assignment"]) == ("box_optimal", 1, {"x": 1})
+    assert run(["solve", str(f), "--bound", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "optimal"
+
+
 def test_solve_with_explicit_witness(two_blocks, tmp_path, capsys):
     w = tmp_path / "w.json"
     assert run(["analyze", two_blocks, "--witness-out", str(w)]) == 0

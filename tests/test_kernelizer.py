@@ -31,6 +31,8 @@ from tdilp.kernelizer import (
 from tdilp.oracle import brute_force_ilp
 from tdilp.structure import ROOT, build_primal_graph, dfs_treedepth_heuristic
 
+from conftest import deep_twin_paths
+
 
 def _blocks_instance(caps, objective_on_z=True):
     """max z (optionally) subject to z <= a_i <= caps[i] for each block.
@@ -361,13 +363,7 @@ def test_deep_twin_components_kernelize_without_recursion():
     """Two identical 1,100-variable paths beside the objective: certifying
     the pair searches 1,100 levels deep, past the interpreter's recursion
     limit."""
-    b = InstanceBuilder()
-    b.set_objective({"z": 1})
-    b.add_le({"z": 1}, 5)
-    for side in "pq":
-        for i in range(1099):
-            b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
-    ins = b.build()
+    ins = deep_twin_paths(1100)
     kernel, _, trace = kernelize(ins, dfs_treedepth_heuristic(build_primal_graph(ins)))
     assert len(trace) == 1
     assert kernel.n_variables == 1101

@@ -1,5 +1,7 @@
 """Exact solve: box bound, search, unboundedness, and the full pipeline."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,13 @@ from tdilp import (
     solve_core,
     solve_pipeline,
 )
+import tdilp.solver
 from tdilp.instance import check_feasible, evaluate_objective
 from tdilp.oracle import brute_force_ilp
 from tdilp.solver import bounded_search, detect_unbounded
 from tdilp.structure import ROOT
+
+from conftest import deep_twin_paths
 
 
 def _parse(text):
@@ -105,6 +110,15 @@ def test_user_bound_semantics():
     out = solve_core(tight, bound=7)
     assert out.status == "bound_exhausted"
     assert solve_core(tight).value == 40
+
+
+def test_box_maximum_beaten_outside_the_box():
+    ins = _parse("max: x\nx <= 5\n")
+    out = solve_core(ins, bound=1)
+    assert (out.status, out.value, out.assignment) == ("box_optimal", 1, {0: 1})
+    # the pipeline lifts a box incumbent like an optimum
+    piped = solve(_parse("max: z\nz <= 5\nz - a1 <= 0\nz - a2 <= 0\n"), bound=2)
+    assert (piped.status, piped.value, len(piped.assignment)) == ("box_optimal", 2, 3)
 
 
 def test_pipeline_two_blocks():
@@ -259,3 +273,75 @@ def test_pipeline_equals_core_on_boxed_instances(ins):
         assert piped.value == core.value
         assert check_feasible(ins, piped.assignment)
         assert evaluate_objective(ins, piped.assignment) == core.value
+
+
+@st.composite
+def box_programs(draw):
+    """Rows over 1-5 variables searched in a small box, so the oracle sweep
+    of the same box is the reference."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    b = InstanceBuilder()
+    names = [b.var(f"v{i}") for i in range(n)]
+    coefficient = st.integers(min_value=-2, max_value=2)
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        coeffs = {name: draw(coefficient) for name in names}
+        if all(c == 0 for c in coeffs.values()):
+            coeffs[names[0]] = 1
+        b.add_le(coeffs, draw(st.integers(min_value=-3, max_value=3)))
+    if draw(st.booleans()):
+        b.set_objective({name: draw(coefficient) for name in names})
+    return b.build(), draw(st.integers(min_value=1, max_value=2))
+
+
+@given(box_programs())
+@settings(max_examples=200, deadline=None)
+def test_bounded_search_follows_the_oracle_leaf_order(case):
+    # lowest-id branching returns the lexicographically first optimum
+    # (ids ascending, values descending exactly where the objective
+    # coefficient is positive) whatever its split points are
+    ins, box = case
+    want = brute_force_ilp(ins, box)
+    got = bounded_search(ins, box)
+    assert (got.status, got.value, got.assignment) == (
+        want.status, want.value, want.assignment
+    )
+    narrow = bounded_search(ins, box, min_domain_branching=True)
+    assert (narrow.status, narrow.value) == (want.status, want.value)
+
+
+@pytest.fixture
+def propagate_calls(monkeypatch):
+    calls = []
+    real = tdilp.solver._propagate
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(tdilp.solver, "_propagate", counted)
+    return calls
+
+
+def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
+    # max z <= 5 over 18 pairwise distinct caps a_i >= z: no twins, and a
+    # 730-bit certified radius that a per-bit search would pay per variable
+    caps = [4 + i for i in range(1, 19)]
+    random.Random(18).shuffle(caps)
+    b = InstanceBuilder()
+    b.set_objective({"z": 1})
+    b.add_le({"z": 1}, 5)
+    for i, cap in enumerate(caps, start=1):
+        b.add_le({"z": 1, f"a{i:03d}": -1}, 0)
+        b.add_le({f"a{i:03d}": 1}, cap)
+    outcome, info = solve_pipeline(b.build())
+    assert info.certified_radius.bit_length() == 730
+    assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 19)
+    assert len(propagate_calls) <= 200
+
+
+def test_deep_twin_path_kernel_solves(propagate_calls):
+    # two identical 150-variable paths beside the objective; the kernel
+    # keeps one path, and the search fixes each link in one endpoint node
+    outcome = solve(deep_twin_paths(150))
+    assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 151)
+    assert len(propagate_calls) <= 200
