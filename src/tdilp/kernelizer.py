@@ -79,9 +79,6 @@ class KernelTrace:
             return NotImplemented
         return self.steps == other.steps
 
-    def omitted_total(self) -> int:
-        return sum(len(s.omitted) for s in self.steps)
-
 
 # ---------------------------------------------------------------------------
 # touching sets and signatures
@@ -379,13 +376,12 @@ def prune_step(
 def kernelize(
     instance: IlpInstance,
     decomposition: TreedepthDecomposition,
-    virtual_root: bool = True,
 ) -> tuple[IlpInstance, TreedepthDecomposition, KernelTrace]:
     """Exhaustive bottom-up pruning in one indexed pass.
 
-    Processes parents from the deepest level up to the roots and then,
-    when enabled, a virtual root over the forest so that duplicated whole
-    components collapse too.  Within a level, parents go by ascending id.
+    Processes parents from the deepest level up to the roots and then a
+    virtual root over the forest, so that duplicated whole components
+    collapse too.  Within a level, parents go by ascending id.
     The trace is the one that omitting the smallest (keeper, twin) pair
     one at a time until a fixpoint would record; the instance is rebuilt
     once at the end.
@@ -399,13 +395,14 @@ def kernelize(
     by_depth: dict[int, list[int]] = {}
     for v in decomposition.nodes():
         by_depth.setdefault(decomposition.depth_of(v), []).append(v)
+    # the objective's support is a primal clique, so it lies in one tree,
+    # which the pruner keeps: the virtual root is always safe to process
     sibling_sets = [
         decomposition.children(z)
         for depth in range(decomposition.height - 1, 0, -1)
         for z in by_depth[depth]
     ]
-    if virtual_root and sum(r in pruner.holders for r in decomposition.roots()) <= 1:
-        sibling_sets.append(decomposition.roots())
+    sibling_sets.append(decomposition.roots())
 
     steps = [
         _trace_step(instance, witness, gone)
@@ -503,10 +500,6 @@ class KernelBounds:
     k: int
     d: dict[int, int | Astronomical]
     e: dict[int, int | Astronomical]
-
-    def num_classes(self, i: int, m) -> int | Astronomical:
-        factor = (2 * self.ell + 1) ** (self.k + 1)
-        return _pow2(factor * (m**i))
 
     def e1(self) -> int | Astronomical:
         return self.e[1]

@@ -42,23 +42,20 @@ class SolveOutcome:
             raise ValueError(f"{self.status} outcome must not carry a solution")
 
     @staticmethod
-    def optimal(value: int, assignment: Mapping[int, int], **meta) -> "SolveOutcome":
-        return SolveOutcome(OPTIMAL, value, dict(assignment), **meta)
+    def optimal(value: int, assignment: Mapping[int, int]) -> "SolveOutcome":
+        return SolveOutcome(OPTIMAL, value, dict(assignment))
 
     @staticmethod
-    def infeasible(**meta) -> "SolveOutcome":
-        return SolveOutcome(INFEASIBLE, **meta)
+    def infeasible() -> "SolveOutcome":
+        return SolveOutcome(INFEASIBLE)
 
     @staticmethod
-    def unbounded(**meta) -> "SolveOutcome":
-        return SolveOutcome(UNBOUNDED, **meta)
+    def unbounded() -> "SolveOutcome":
+        return SolveOutcome(UNBOUNDED)
 
     @staticmethod
-    def bound_exhausted(**meta) -> "SolveOutcome":
-        return SolveOutcome(BOUND_EXHAUSTED, **meta)
-
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
+    def bound_exhausted() -> "SolveOutcome":
+        return SolveOutcome(BOUND_EXHAUSTED)
 
     def with_counts(self, kernel_vars: int, original_vars: int) -> "SolveOutcome":
         return SolveOutcome(self.status, self.value, self.assignment, kernel_vars, original_vars)

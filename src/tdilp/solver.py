@@ -311,24 +311,20 @@ def _optimal(program: _SearchProgram, hit: tuple[list[int], int], status: str = 
 
 def bounded_search(
     instance: IlpInstance,
-    bound: BoxBound | int,
+    radius: int,
     *,
-    first_feasible: bool = False,
     min_domain_branching: bool = False,
 ) -> SolveOutcome:
-    """Exact maximum over the box, or infeasible-in-box.  Never unbounded.
+    """Exact maximum over the box [-radius, radius]^n, or infeasible-in-box.
+    Never unbounded.
 
-    The first optimum in the fixed leaf order (see _dive and _maximize);
-    with first_feasible, the first feasible leaf.
+    The first optimum in the fixed leaf order (see _dive and _maximize).
     """
-    radius = bound.radius if isinstance(bound, BoxBound) else int(bound)
     program = _SearchProgram(instance)
     hit = _dive(program, radius, None, min_domain_branching)
     if hit is None:
         return SolveOutcome.infeasible()
-    if not first_feasible:
-        hit = _maximize(program, radius, hit, min_domain_branching)
-    return _optimal(program, hit)
+    return _optimal(program, _maximize(program, radius, hit, min_domain_branching))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +345,8 @@ def detect_unbounded(instance: IlpInstance) -> bool:
         LinearConstraint.make({v: -c for v, c in instance.objective.terms}, -1)
     )
     recession = IlpInstance(instance.variables, rows, instance.objective)
-    outcome = bounded_search(recession, solution_bound(recession), first_feasible=True)
-    return outcome.is_optimal()
+    radius = solution_bound(recession).radius
+    return _dive(_SearchProgram(recession), radius, None, False) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +515,6 @@ class PipelineInfo:
     decomposition: TreedepthDecomposition
     kernel: IlpInstance
     trace: KernelTrace
-    certified_radius: int
-    radius: int
 
 
 def solve_pipeline(
@@ -554,16 +548,7 @@ def solve_pipeline(
         outcome = SolveOutcome(outcome.status, value, lifted)
 
     outcome = outcome.with_counts(kernel.n_variables, instance.n_variables)
-    certified = solution_bound(kernel).radius
-    info = PipelineInfo(
-        td_mode=td_mode,
-        decomposition=decomposition,
-        kernel=kernel,
-        trace=trace,
-        certified_radius=certified,
-        radius=certified if bound is None else bound,
-    )
-    return outcome, info
+    return outcome, PipelineInfo(td_mode, decomposition, kernel, trace)
 
 
 def solve(

@@ -58,12 +58,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
-
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         kept = set(keep)
         unknown = kept - set(self.vertices)
@@ -73,9 +67,6 @@ class Graph:
 
     def connected_components(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(c)) for c in _components_within(frozenset(self.vertices), self)]
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -154,9 +145,6 @@ class TreedepthDecomposition:
 
     def depth_of(self, v: int) -> int:
         return self._depth[v]
-
-    def nodes_at_depth(self, d: int) -> tuple[int, ...]:
-        return tuple(sorted(v for v, dv in self._depth.items() if dv == d))
 
     def subtree(self, x: int) -> tuple[int, ...]:
         """x and all its descendants."""
@@ -464,6 +452,14 @@ def witness_to_json(witness: TreedepthDecomposition | TreeDecompositionWitness) 
     raise StructureError(f"not a witness: {witness!r}")
 
 
+def _is_int_list(value) -> bool:
+    """A JSON array of integers; bool subclasses int, so true/false are
+    excluded by hand."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
 def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWitness:
     try:
         doc = json.loads(text)
@@ -473,7 +469,7 @@ def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWi
         raise StructureError("witness JSON must be an object with a 'kind' field")
     kind = doc["kind"]
     parent_list = doc.get("parent")
-    if not isinstance(parent_list, list) or not all(isinstance(p, int) for p in parent_list):
+    if not _is_int_list(parent_list):
         raise StructureError("witness 'parent' must be a list of integers")
     parent = {i: p for i, p in enumerate(parent_list)}
     if kind == "treedepth":
@@ -482,6 +478,8 @@ def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWi
         bag_list = doc.get("bags")
         if not isinstance(bag_list, list) or len(bag_list) != len(parent_list):
             raise StructureError("witness 'bags' must be a list matching 'parent'")
+        if not all(_is_int_list(bag) for bag in bag_list):
+            raise StructureError("each witness bag must be a list of integers")
         bags = {i: frozenset(b) for i, b in enumerate(bag_list)}
         return TreeDecompositionWitness(parent, bags)
     raise StructureError(f"unknown witness kind {kind!r}")

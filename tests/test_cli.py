@@ -121,6 +121,22 @@ def test_solve_rejects_invalid_td_witness(two_blocks, tmp_path, capsys, parent):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "treewidth", "parent": [-1], "bags": [5]},
+    {"kind": "treewidth", "parent": [-1], "bags": [[[1]]]},
+    {"kind": "treedepth", "parent": [True, 2, -1]},  # true must not read as node 1
+])
+@pytest.mark.parametrize("flag", ["--witness", "--td"])
+def test_malformed_witness_is_an_input_error(two_blocks, tmp_path, capsys, doc, flag):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(doc))
+    command = "verify" if flag == "--witness" else "solve"
+    assert run([command, two_blocks, flag, str(w)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_kernelize_lift_roundtrip(two_blocks, tmp_path, capsys):
     kern = tmp_path / "kernel.ilp"
     trace = tmp_path / "trace.json"
@@ -230,6 +246,24 @@ def test_cli_import_leaves_numpy_out():
     code = "import sys, tdilp.cli; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_traced_launcher_matches_plain_solve(two_blocks, tmp_path):
+    # the benchmark's launcher wraps tdilp functions by name and fails at
+    # install when one of them is gone
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "bench" / "launcher.py"), str(spans), "solve", two_blocks],
+        env=env, capture_output=True,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "tdilp.cli", "solve", two_blocks], env=env, capture_output=True
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert {"kernelizer.kernelize", "solver.core"} <= set(json.loads(spans.read_text())["spans"])
 
 
 def test_oracle_verdict_commands(triangle, capsys):

@@ -13,7 +13,6 @@ from tdilp import (
     KernelError,
     TreedepthDecomposition,
     compute_bounds,
-    find_equivalent_pair,
     format_bound,
     kernelize,
     lift_solution,
@@ -24,6 +23,7 @@ from tdilp.instance import check_feasible, evaluate_objective, omit_variables
 from tdilp.kernelizer import (
     KernelTrace,
     TraceStep,
+    find_equivalent_pair,
     subtree_signature,
     test_equivalence as check_equivalence,
     witness_is_sound,
@@ -75,7 +75,7 @@ def test_triple_block_prune_and_names_survive():
     kernel, _, trace = kernelize(ins, dec)
     assert kernel.n_variables == 2
     assert len(trace) == 2
-    assert trace.omitted_total() == 2
+    assert sum(len(step.omitted) for step in trace) == 2
     assert kernel.name_of(0) == "a1"
     assert kernel.name_of(3) == "z"
 
@@ -206,10 +206,6 @@ def test_virtual_root_collapses_duplicate_components():
     assert len(trace) == 1
     assert trace.steps[0].delta == {0: 1, 2: 3}
 
-    kernel2, _, trace2 = kernelize(ins, dec, virtual_root=False)
-    assert kernel2.n_variables == 4
-    assert len(trace2) == 0
-
 
 def test_virtual_root_skips_objective_component():
     b = InstanceBuilder()
@@ -277,10 +273,11 @@ def test_astronomical_note_is_capped():
 
 
 def test_num_classes_values():
-    kb = compute_bounds(0, 1)
-    assert kb.num_classes(1, 1) == 2
-    kb = compute_bounds(1, 2)
-    assert kb.num_classes(1, 1) == 2**27
+    # d_i - 1 is the class count 2^((2 ell + 1)^(k+1) * e_{i+1}^i)
+    assert compute_bounds(0, 2).d[1] - 1 == 2
+    assert compute_bounds(1, 2).d[1] - 1 == 2**27
+    kb = compute_bounds(0, 3)
+    assert kb.d[2] - 1 == 2 ** (kb.e[3] ** 2) and kb.d[1] - 1 == 2 ** kb.e[2]
 
 
 def test_format_bound():
@@ -369,7 +366,7 @@ def test_deep_twin_components_kernelize_without_recursion():
     assert kernel.n_variables == 1101
 
 
-def _naive_kernelize(instance, decomposition, virtual_root):
+def _naive_kernelize(instance, decomposition):
     """Reference fixpoint: omit the smallest equivalent (keeper, twin) pair
     under each parent, rebuilding the instance after every step, until no
     pair is left."""
@@ -401,10 +398,10 @@ def _naive_kernelize(instance, decomposition, virtual_root):
             ins, dec = omit_variables(ins, gone), dec.drop_nodes(gone)
 
     for depth in range(decomposition.height - 1, 0, -1):
-        for z in dec.nodes_at_depth(depth):
+        for z in [v for v in dec.nodes() if dec.depth_of(v) == depth]:
             exhaust(z)
     support = set(ins.objective.variables())
-    if virtual_root and sum(bool(support & set(dec.subtree(r))) for r in dec.roots()) <= 1:
+    if sum(bool(support & set(dec.subtree(r))) for r in dec.roots()) <= 1:
         exhaust(None)
     return ins, dec, KernelTrace(steps)
 
@@ -488,9 +485,8 @@ def planted_forests(draw):
 @settings(max_examples=150, deadline=None)
 def test_indexed_pass_matches_naive_fixpoint(case):
     ins, dec = case
-    for virtual_root in (True, False):
-        kernel, kdec, trace = kernelize(ins, dec, virtual_root=virtual_root)
-        want_kernel, want_dec, want_trace = _naive_kernelize(ins, dec, virtual_root)
-        assert kernel == want_kernel and kernel.ids() == want_kernel.ids()
-        assert kdec == want_dec
-        assert trace_to_json(trace) == trace_to_json(want_trace)
+    kernel, kdec, trace = kernelize(ins, dec)
+    want_kernel, want_dec, want_trace = _naive_kernelize(ins, dec)
+    assert kernel == want_kernel and kernel.ids() == want_kernel.ids()
+    assert kdec == want_dec
+    assert trace_to_json(trace) == trace_to_json(want_trace)

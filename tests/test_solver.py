@@ -96,7 +96,7 @@ def test_detect_unbounded_directly():
 def test_bounded_search_within_explicit_box():
     ins = _parse("max: x\nx <= 9\n")
     assert bounded_search(ins, 3).value == 3
-    assert bounded_search(ins, BoxBound(20)).value == 9
+    assert bounded_search(ins, 20).value == 9
 
 
 def test_user_bound_semantics():
@@ -119,6 +119,25 @@ def test_box_maximum_beaten_outside_the_box():
     # the pipeline lifts a box incumbent like an optimum
     piped = solve(_parse("max: z\nz <= 5\nz - a1 <= 0\nz - a2 <= 0\n"), bound=2)
     assert (piped.status, piped.value, len(piped.assignment)) == ("box_optimal", 2, 3)
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("max: 0\nx <= 5\n", 1),
+    ("max: x\nx <= 1\n-x <= -2\n", 1),  # infeasible
+    ("max: x\nx <= 5\n", 2),  # the kernel, then its recession system
+    ("max: x\n-x <= 0\n", 2),  # unbounded
+])
+def test_one_certified_radius_per_system(monkeypatch, text, calls):
+    counted = []
+    real = tdilp.solver.solution_bound
+
+    def counting(instance):
+        counted.append(None)
+        return real(instance)
+
+    monkeypatch.setattr(tdilp.solver, "solution_bound", counting)
+    solve_pipeline(_parse(text))
+    assert len(counted) == calls
 
 
 def test_pipeline_two_blocks():
@@ -334,7 +353,7 @@ def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
         b.add_le({"z": 1, f"a{i:03d}": -1}, 0)
         b.add_le({f"a{i:03d}": 1}, cap)
     outcome, info = solve_pipeline(b.build())
-    assert info.certified_radius.bit_length() == 730
+    assert solution_bound(info.kernel).radius.bit_length() == 730
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 19)
     assert len(propagate_calls) <= 200
 
