@@ -548,6 +548,13 @@ def trace_to_json(trace: KernelTrace) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_id(value) -> int:
+    # int() would read true as 1 and 1.7 as 1, and lift onto the wrong variable
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise KernelError(f"trace id {value!r} is not an integer")
+    return value
+
+
 def trace_from_json(text: str) -> KernelTrace:
     try:
         doc = json.loads(text)
@@ -559,9 +566,9 @@ def trace_from_json(text: str) -> KernelTrace:
     for item in doc:
         try:
             step = TraceStep(
-                omitted=tuple(int(v) for v in item["omitted"]),
-                keeper_root=int(item["keeper_root"]),
-                delta={int(src): int(dst) for src, dst in item["delta"].items()},
+                omitted=tuple(_json_id(v) for v in item["omitted"]),
+                keeper_root=_json_id(item["keeper_root"]),
+                delta={int(src): _json_id(dst) for src, dst in item["delta"].items()},
                 names={int(v): str(name) for v, name in item.get("names", {}).items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -1,7 +1,8 @@
 """Exact bounded-box solver and the full kernelize-solve-lift pipeline.
 
 The search is branch and bound over integer boxes: interval propagation
-per constraint, endpoint-first or bisection branching, and an outer
+per constraint plus the residue classes that equality rows with two free
+variables imply, endpoint-first or bisection branching, and an outer
 bisection on the objective value.  A certified box radius guarantees that
 a feasible instance has a feasible point inside the box, so "infeasible in the box"
 is a real infeasibility verdict whenever the box was not user-shrunk.
@@ -74,7 +75,7 @@ class _SearchProgram:
 
     __slots__ = (
         "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n",
-        "rows_contradict", "cut_opposite",
+        "rows_contradict", "cut_opposite", "equalities", "var_eqs",
     )
 
     def __init__(self, instance: IlpInstance):
@@ -112,22 +113,76 @@ class _SearchProgram:
             rhs + tightest.get(_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
         )
         self.cut_opposite = tightest.get(_opposite(self.cut_terms))
+        # a.x = b, once per pair: the row whose first coefficient is positive
+        self.equalities = [
+            (key, rhs) for key, rhs in tightest.items()
+            if key[0][1] > 0 and tightest.get(_opposite(key)) == -rhs
+        ]
+        self.var_eqs: list[list[int]] = [[] for _ in range(self.n)]
+        for ei, (terms, _) in enumerate(self.equalities):
+            for j, _ in terms:
+                self.var_eqs[j].append(ei)
 
 
 def _opposite(terms) -> tuple[tuple[int, int], ...]:
     return tuple((j, -c) for j, c in terms)
 
 
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """x = r1 (mod m1) and x = r2 (mod m2) as one class (r, lcm), or None."""
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    step = m2 // g
+    k = (r2 - r1) // g * pow(m1 // g, -1, step) % step
+    return (r1 + m1 * k) % (m1 * step), m1 * step
+
+
+def _implied_classes(terms, rhs: int, lo: list[int], hi: list[int]):
+    """Classes (j, r, m), meaning x_j = r (mod m > 1), implied by a.x = rhs.
+
+    With exactly two unfixed variables the row reads c_x x + c_y y = rest,
+    and with g = gcd(c_x, c_y) it puts x in the class of
+    (rest/g) * (c_x/g)^-1 modulo |c_y|/g, and y likewise.  Otherwise there
+    is nothing to derive ([]).  None when the row cannot hold.
+    """
+    free = []
+    for j, c in terms:
+        if lo[j] < hi[j]:
+            free.append((j, c))
+        else:
+            rhs -= c * lo[j]
+    if len(free) != 2:
+        return None if not free and rhs != 0 else []
+    (x, cx), (y, cy) = free
+    g = math.gcd(cx, cy)
+    if rhs % g:
+        return None
+    return [
+        (j, rhs // g * pow(c // g, -1, m) % m, m)
+        for j, c, m in ((x, cx, abs(cy) // g), (y, cy, abs(cx) // g))
+        if m > 1
+    ]
+
+
 def _propagate(
     program: _SearchProgram,
     lo: list[int],
     hi: list[int],
+    classes: dict[int, tuple[int, int]],
     cut_rhs: int | None,
 ) -> bool:
-    """Tighten [lo, hi] per row to a (capped) fixpoint; False iff infeasible.
+    """Tighten [lo, hi] and the residue classes to a (capped) fixpoint;
+    False iff infeasible.
 
-    The update cap stops one-step-at-a-time creep on huge boxes; stopping
-    early is sound because propagation only ever narrows.
+    classes[j] = (r, m) means x_j = r (mod m); a variable without an entry
+    has m = 1.  Rows tighten interval bounds.  Each time the row queue
+    drains, one queued equality adds the classes _implied_classes derives,
+    each joined with the variable's class by the Chinese remainder
+    theorem, and every bound snaps into its variable's class.  Rows alone
+    meet such congruences one at a time and walk a variable from residue
+    to residue.  The update cap stops whatever creep remains on huge
+    boxes; stopping early is sound because propagation only ever narrows.
     """
     rows = list(program.rows)
     if cut_rhs is not None and program.cut_terms:
@@ -138,15 +193,48 @@ def _propagate(
     budget = 4 * n_rows + 8 * program.n + 32
     queue = deque(range(n_rows))
     queued = [True] * n_rows
-    var_rows = program.var_rows
+    equalities = program.equalities
+    eq_queue = deque(range(len(equalities)))
+    eq_queued = [True] * len(equalities)
+    var_rows, var_eqs, obj = program.var_rows, program.var_eqs, program.obj
     cut_row = n_rows - 1 if (cut_rhs is not None and program.cut_terms) else None
 
-    def rows_of(j: int):
-        if cut_row is not None and program.obj[j] != 0:
-            return var_rows[j] + [cut_row]
-        return var_rows[j]
+    def moved(j: int) -> None:
+        for other in var_rows[j]:
+            if not queued[other]:
+                queued[other] = True
+                queue.append(other)
+        if cut_row is not None and obj[j] != 0 and not queued[cut_row]:
+            queued[cut_row] = True
+            queue.append(cut_row)
+        for ei in var_eqs[j]:
+            if not eq_queued[ei]:
+                eq_queued[ei] = True
+                eq_queue.append(ei)
 
-    while queue:
+    while queue or eq_queue:
+        if not queue:
+            ei = eq_queue.popleft()
+            eq_queued[ei] = False
+            implied = _implied_classes(*equalities[ei], lo, hi)
+            if implied is None:
+                return False
+            for j, r, m in implied:
+                joined = _crt(*classes.get(j, (0, 1)), r, m)
+                if joined is None:
+                    return False
+                r, m = classes[j] = joined
+                new_lo = lo[j] + (r - lo[j]) % m
+                new_hi = hi[j] - (hi[j] - r) % m
+                if new_lo > new_hi:
+                    return False
+                if new_lo != lo[j] or new_hi != hi[j]:
+                    lo[j], hi[j] = new_lo, new_hi
+                    budget -= 1
+                    if budget <= 0:
+                        return True
+                    moved(j)
+            continue
         ri = queue.popleft()
         queued[ri] = False
         terms, rhs = rows[ri]
@@ -160,32 +248,26 @@ def _propagate(
             room = rhs - (floor_sum - own)
             if c > 0:
                 new_hi = room // c
-                if new_hi < hi[j]:
-                    hi[j] = new_hi
-                    if lo[j] > hi[j]:
-                        return False
-                    floor_sum = floor_sum - own + c * lo[j]
-                    budget -= 1
-                    if budget <= 0:
-                        return True
-                    for other in rows_of(j):
-                        if not queued[other]:
-                            queued[other] = True
-                            queue.append(other)
+                if new_hi >= hi[j]:
+                    continue
+                if j in classes:
+                    r, m = classes[j]
+                    new_hi -= (new_hi - r) % m
+                hi[j] = new_hi
             else:
                 new_lo = -(room // -c)
-                if new_lo > lo[j]:
-                    lo[j] = new_lo
-                    if lo[j] > hi[j]:
-                        return False
-                    floor_sum = floor_sum - own + c * hi[j]
-                    budget -= 1
-                    if budget <= 0:
-                        return True
-                    for other in rows_of(j):
-                        if not queued[other]:
-                            queued[other] = True
-                            queue.append(other)
+                if new_lo <= lo[j]:
+                    continue
+                if j in classes:
+                    r, m = classes[j]
+                    new_lo += (r - new_lo) % m
+                lo[j] = new_lo
+            if lo[j] > hi[j]:
+                return False
+            budget -= 1
+            if budget <= 0:
+                return True
+            moved(j)
     return True
 
 
@@ -233,10 +315,15 @@ def _dive(
     if cut_rhs is not None and program.cut_opposite is not None:
         if cut_rhs + program.cut_opposite < 0:
             return None
-    stack: list[tuple[list[int], list[int]]] = [([-radius] * n, [radius] * n)]
+    # a node: lo, hi and the residue classes (see _propagate); each child
+    # copies them, since a class derived from a child's fixed values does
+    # not hold for its siblings
+    stack: list[tuple[list[int], list[int], dict[int, tuple[int, int]]]] = [
+        ([-radius] * n, [radius] * n, {})
+    ]
     while stack:
-        lo, hi = stack.pop()
-        if not _propagate(program, lo, hi, cut_rhs):
+        lo, hi, classes = stack.pop()
+        if not _propagate(program, lo, hi, classes, cut_rhs):
             continue
         j = _pick_branch_var(program, lo, hi, min_domain_branching)
         if j is None:
@@ -263,8 +350,12 @@ def _dive(
         mid = (first + last) // 2
         halves = [(first, mid), (mid + 1, last)]
         parts += [h for h in (halves[::-1] if up else halves) if h[0] <= h[1]]
+        r, m = classes.get(j, (0, 1))
         for a, b in reversed(parts):
-            child = (list(lo), list(hi))
+            a, b = a + (r - a) % m, b - (b - r) % m
+            if a > b:
+                continue
+            child = (list(lo), list(hi), dict(classes))
             child[0][j], child[1][j] = a, b
             stack.append(child)
     return None

@@ -7,6 +7,7 @@ visible without -s.
 
 import pytest
 
+import tdilp.solver
 from tdilp import Graph, InstanceBuilder
 
 # graphs use 1-based vertex labels, matching the generator conventions
@@ -49,6 +50,27 @@ def deep_twin_paths(links: int):
         for i in range(links - 1):
             b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
     return b.build()
+
+
+@pytest.fixture
+def propagate_calls(monkeypatch):
+    """propagate_calls(limit) counts `tdilp.solver._propagate` calls and
+    fails the test at call limit + 1, so a search that regresses stops
+    there instead of running to its end."""
+
+    def install(limit: int) -> None:
+        calls = []
+        real = tdilp.solver._propagate
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > limit:
+                pytest.fail(f"more than {limit} _propagate calls")
+            return real(*args)
+
+        monkeypatch.setattr(tdilp.solver, "_propagate", counted)
+
+    return install
 
 
 _VERDICTS: list[str] = []

@@ -164,7 +164,13 @@ KERNEL_SOLUTION = {"status": "optimal", "value": 4, "assignment": {"a1": 4, "z":
     ([{**GOOD_STEP, "delta": [[0, 1]]}], KERNEL_SOLUTION),  # delta is not an object
     ([{**GOOD_STEP, "names": {"0": "a1"}}], KERNEL_SOLUTION),  # id 1 has no name
     ([GOOD_STEP], [KERNEL_SOLUTION]),  # the solution is not an object
-], ids=["delta-not-object", "unnamed-id", "solution-not-object"])
+    ([{**GOOD_STEP, "omitted": [True]}], KERNEL_SOLUTION),  # would read as id 1
+    ([{**GOOD_STEP, "keeper_root": 0.9}], KERNEL_SOLUTION),  # would read as id 0
+    ([{**GOOD_STEP, "delta": {"0": 1.7}}], KERNEL_SOLUTION),  # would read as id 1
+], ids=[
+    "delta-not-object", "unnamed-id", "solution-not-object",
+    "omitted-bool", "keeper-root-float", "delta-float",
+])
 def test_lift_rejects_malformed_input(tmp_path, capsys, trace, solution):
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(trace))

@@ -20,10 +20,11 @@ from tdilp import (
 import tdilp.solver
 from tdilp.instance import check_feasible, evaluate_objective
 from tdilp.oracle import brute_force_ilp
+from tdilp.reductions import reduce_three_coloring
 from tdilp.solver import bounded_search, detect_unbounded
 from tdilp.structure import ROOT
 
-from conftest import deep_twin_paths
+from conftest import cycle_graph, deep_twin_paths, petersen
 
 
 def _parse(text):
@@ -297,7 +298,9 @@ def test_pipeline_equals_core_on_boxed_instances(ins):
 @st.composite
 def box_programs(draw):
     """Rows over 1-5 variables searched in a small box, so the oracle sweep
-    of the same box is the reference."""
+    of the same box is the reference.  Some rows come as equality pairs
+    over 2-3 variables with one coefficient of magnitude 2-5, so that two
+    free variables fall into residue classes."""
     n = draw(st.integers(min_value=1, max_value=5))
     b = InstanceBuilder()
     names = [b.var(f"v{i}") for i in range(n)]
@@ -307,6 +310,11 @@ def box_programs(draw):
         if all(c == 0 for c in coeffs.values()):
             coeffs[names[0]] = 1
         b.add_le(coeffs, draw(st.integers(min_value=-3, max_value=3)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if n > 1 else 0):
+        picked = draw(st.permutations(names))[: draw(st.integers(2, min(n, 3)))]
+        coeffs = {name: draw(st.sampled_from([-2, -1, 1, 2])) for name in picked}
+        coeffs[picked[0]] = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]))
+        b.add_eq(coeffs, draw(st.integers(min_value=-3, max_value=3)))
     if draw(st.booleans()):
         b.set_objective({name: draw(coefficient) for name in names})
     return b.build(), draw(st.integers(min_value=1, max_value=2))
@@ -328,22 +336,10 @@ def test_bounded_search_follows_the_oracle_leaf_order(case):
     assert (narrow.status, narrow.value) == (want.status, want.value)
 
 
-@pytest.fixture
-def propagate_calls(monkeypatch):
-    calls = []
-    real = tdilp.solver._propagate
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(tdilp.solver, "_propagate", counted)
-    return calls
-
-
 def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
     # max z <= 5 over 18 pairwise distinct caps a_i >= z: no twins, and a
     # 730-bit certified radius that a per-bit search would pay per variable
+    propagate_calls(200)
     caps = [4 + i for i in range(1, 19)]
     random.Random(18).shuffle(caps)
     b = InstanceBuilder()
@@ -355,12 +351,26 @@ def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
     outcome, info = solve_pipeline(b.build())
     assert solution_bound(info.kernel).radius.bit_length() == 730
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 19)
-    assert len(propagate_calls) <= 200
 
 
 def test_deep_twin_path_kernel_solves(propagate_calls):
     # two identical 150-variable paths beside the objective; the kernel
     # keeps one path, and the search fixes each link in one endpoint node
+    propagate_calls(200)
     outcome = solve(deep_twin_paths(150))
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 151)
-    assert len(propagate_calls) <= 200
+
+
+@pytest.mark.parametrize("graph, limit", [
+    (cycle_graph(7), 60),
+    (cycle_graph(8), 100),
+    (petersen(), 100),
+], ids=["C7", "C8", "petersen"])
+def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, limit):
+    # once a vertex fixes r = 0, each row g - p*m - r = 0 puts g in a class
+    # mod p; rows alone walk g from residue to residue up to the update cap
+    ins, witness = reduce_three_coloring(graph)
+    propagate_calls(limit)
+    outcome, _ = solve_pipeline(ins, witness, propagate=True)
+    assert outcome.status == "optimal"
+    assert check_feasible(ins, outcome.assignment)
