@@ -24,21 +24,7 @@ from .kernelizer import (
     trace_from_json,
     trace_to_json,
 )
-from .oracle import (
-    OracleBudgetError,
-    brute_force_ilp,
-    brute_three_coloring,
-    brute_vertex_cover,
-    subset_sum_dp,
-    treedepth_reference,
-)
 from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, SolveOutcome
-from .reductions import (
-    SubsetSumInstance,
-    reduce_subset_sum,
-    reduce_three_coloring,
-    reduce_vertex_cover,
-)
 from .solver import solve_pipeline
 from .structure import (
     StructureError,
@@ -151,6 +137,15 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # imported here, not at the top: every `tdilp solve` is a fresh process
+    # that would otherwise compile the generators it never runs
+    from .reductions import (
+        SubsetSumInstance,
+        reduce_subset_sum,
+        reduce_three_coloring,
+        reduce_vertex_cover,
+    )
+
     witness_text = None
     if args.kind == "vc":
         instance = reduce_vertex_cover(_load_graph(args.graph), args.k)
@@ -198,20 +193,35 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.oracle == "ilp":
-        instance = _load_instance(args.file)
-        outcome = brute_force_ilp(instance, args.box)
-        print(outcome.to_json(name_of=instance.name_of))
-        return _outcome_exit(outcome)
-    if args.oracle == "subsetsum":
-        verdict = subset_sum_dp(SubsetSumInstance(tuple(args.values), args.target))
-    elif args.oracle == "3col":
-        verdict = brute_three_coloring(_load_graph(args.graph))
-    elif args.oracle == "vc":
-        verdict = brute_vertex_cover(_load_graph(args.graph), args.k)
-    else:  # td
-        print(treedepth_reference(_load_graph(args.graph)))
-        return OK
+    # imported here for the same reason as in _cmd_generate
+    from .oracle import (
+        OracleBudgetError,
+        brute_force_ilp,
+        brute_three_coloring,
+        brute_vertex_cover,
+        subset_sum_dp,
+        treedepth_reference,
+    )
+    from .reductions import SubsetSumInstance
+
+    try:
+        if args.oracle == "ilp":
+            instance = _load_instance(args.file)
+            outcome = brute_force_ilp(instance, args.box)
+            print(outcome.to_json(name_of=instance.name_of))
+            return _outcome_exit(outcome)
+        if args.oracle == "subsetsum":
+            verdict = subset_sum_dp(SubsetSumInstance(tuple(args.values), args.target))
+        elif args.oracle == "3col":
+            verdict = brute_three_coloring(_load_graph(args.graph))
+        elif args.oracle == "vc":
+            verdict = brute_vertex_cover(_load_graph(args.graph), args.k)
+        else:  # td
+            print(treedepth_reference(_load_graph(args.graph)))
+            return OK
+    except OracleBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return RESOURCE
     print("true" if verdict else "false")
     return OK if verdict else NO
 
@@ -332,9 +342,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except OracleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE
     except (IlpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -22,7 +22,6 @@ variables alive that appear in no constraint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -50,12 +49,53 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_']*|[+\-*])")
 
 
-@dataclass(frozen=True)
-class VariableId:
+class Record:
+    """Immutable value record over the fields named in ``__slots__``.
+
+    Equal to a record of the same class with equal fields and hashed by its
+    fields.  Assignment is closed, so a subclass's ``__init__`` takes its
+    fields in ``__slots__`` order and sets each one through
+    ``object.__setattr__``.  Every ``tdilp solve`` is a fresh process that
+    imports the records; importing ``dataclasses`` and building frozen
+    dataclasses would cost more than a small solve.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment is closed
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class VariableId(Record):
     """A variable: dense non-negative index plus a human-readable name."""
 
-    id: int
-    name: str
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "name", name)
 
 
 def _merge_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -66,10 +106,10 @@ def _merge_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[
     return tuple(sorted((v, c) for v, c in merged.items() if c != 0))
 
 
-class _Terms:
+class _Terms(Record):
     """Reads over ``terms``: (variable id, coefficient) pairs sorted by id."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
@@ -89,7 +129,6 @@ class _Terms:
         return total
 
 
-@dataclass(frozen=True)
 class LinearConstraint(_Terms):
     """A single row  sum(coeff * var) <= rhs  in canonical form.
 
@@ -97,8 +136,11 @@ class LinearConstraint(_Terms):
     zero coefficients; ``terms`` is never empty.
     """
 
-    terms: tuple[tuple[int, int], ...]
-    rhs: int
+    __slots__ = ("terms", "rhs")
+
+    def __init__(self, terms: tuple[tuple[int, int], ...], rhs: int):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "rhs", rhs)
 
     @staticmethod
     def make(terms: Mapping[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
@@ -120,11 +162,13 @@ class LinearConstraint(_Terms):
         return (self.terms, self.rhs)
 
 
-@dataclass(frozen=True)
 class LinearObjective(_Terms):
     """Objective terms; the sense is always "maximize"."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LinearObjective":

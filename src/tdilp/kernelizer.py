@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .instance import IlpError, IlpInstance, LinearConstraint, omit_variables
+from .instance import IlpError, IlpInstance, LinearConstraint, Record, omit_variables
 from .structure import (
     ROOT,
     TreedepthDecomposition,
@@ -36,17 +35,18 @@ class KernelError(IlpError):
 # domain types
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """delta maps T_x's variables bijectively onto T_y's."""
 
-    x: int
-    y: int
-    delta: dict[int, int]
+    __slots__ = ("x", "y", "delta")
+
+    def __init__(self, x: int, y: int, delta: dict[int, int]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One prune: the omitted subtree, its kept twin, and the renaming.
 
     delta runs keeper -> omitted so that lifting is a straight copy.
@@ -54,10 +54,19 @@ class TraceStep:
     alone must suffice to lift a name-keyed solution.
     """
 
-    omitted: tuple[int, ...]
-    keeper_root: int
-    delta: dict[int, int]
-    names: dict[int, str]
+    __slots__ = ("omitted", "keeper_root", "delta", "names")
+
+    def __init__(
+        self,
+        omitted: tuple[int, ...],
+        keeper_root: int,
+        delta: dict[int, int],
+        names: dict[int, str],
+    ):
+        object.__setattr__(self, "omitted", omitted)
+        object.__setattr__(self, "keeper_root", keeper_root)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "names", names)
 
 
 class KernelTrace:
@@ -489,17 +498,25 @@ def _pow2(exponent) -> int | Astronomical:
     return Astronomical("2^{}", exponent)
 
 
-@dataclass(frozen=True)
-class KernelBounds:
+class KernelBounds(Record):
     """The worst-case kernel-size ladder for coefficient bound ell and
     decomposition height k: d_i bounds sibling counts at depth i, e_i
     bounds subtree sizes; a kernelized tree has at most e_1 variables.
     """
 
-    ell: int
-    k: int
-    d: dict[int, int | Astronomical]
-    e: dict[int, int | Astronomical]
+    __slots__ = ("ell", "k", "d", "e")
+
+    def __init__(
+        self,
+        ell: int,
+        k: int,
+        d: dict[int, int | Astronomical],
+        e: dict[int, int | Astronomical],
+    ):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
 
     def e1(self) -> int | Astronomical:
         return self.e[1]

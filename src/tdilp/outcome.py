@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping
+
+from .instance import Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -15,8 +16,7 @@ BOX_OPTIMAL = "box_optimal"
 _STATUSES = (OPTIMAL, INFEASIBLE, UNBOUNDED, BOUND_EXHAUSTED, BOX_OPTIMAL)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(Record):
     """Result of an exact solve.
 
     ``value`` and ``assignment`` (variable id -> value) are populated only
@@ -26,20 +26,28 @@ class SolveOutcome:
     versus how many came in.
     """
 
-    status: str
-    value: int | None = None
-    assignment: dict[int, int] | None = None
-    kernel_vars: int | None = None
-    original_vars: int | None = None
+    __slots__ = ("status", "value", "assignment", "kernel_vars", "original_vars")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status in (OPTIMAL, BOX_OPTIMAL):
-            if self.value is None or self.assignment is None:
-                raise ValueError(f"{self.status} outcome needs value and assignment")
-        elif self.assignment is not None or self.value is not None:
-            raise ValueError(f"{self.status} outcome must not carry a solution")
+    def __init__(
+        self,
+        status: str,
+        value: int | None = None,
+        assignment: dict[int, int] | None = None,
+        kernel_vars: int | None = None,
+        original_vars: int | None = None,
+    ):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if status in (OPTIMAL, BOX_OPTIMAL):
+            if value is None or assignment is None:
+                raise ValueError(f"{status} outcome needs value and assignment")
+        elif assignment is not None or value is not None:
+            raise ValueError(f"{status} outcome must not carry a solution")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "kernel_vars", kernel_vars)
+        object.__setattr__(self, "original_vars", original_vars)
 
     @staticmethod
     def optimal(value: int, assignment: Mapping[int, int]) -> "SolveOutcome":

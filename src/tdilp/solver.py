@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .instance import (
     IlpInstance,
     InternalError,
     LinearConstraint,
+    Record,
     check_feasible,
     evaluate_objective,
     max_abs_coefficient,
@@ -29,15 +29,15 @@ from .outcome import BOX_OPTIMAL, OPTIMAL, SolveOutcome
 from .structure import TreedepthDecomposition, decompose
 
 
-@dataclass(frozen=True)
-class BoxBound:
+class BoxBound(Record):
     """Search box [-radius, radius]^n."""
 
-    radius: int
+    __slots__ = ("radius",)
 
-    def __post_init__(self):
-        if self.radius < 1:
+    def __init__(self, radius: int):
+        if radius < 1:
             raise ValueError("box radius must be positive")
+        object.__setattr__(self, "radius", radius)
 
 
 def solution_bound(instance: IlpInstance) -> BoxBound:
@@ -598,14 +598,22 @@ def solve_core(
     return outcome
 
 
-@dataclass(frozen=True)
-class PipelineInfo:
+class PipelineInfo(Record):
     """Side facts about a solve, for reporting."""
 
-    td_mode: str
-    decomposition: TreedepthDecomposition
-    kernel: IlpInstance
-    trace: KernelTrace
+    __slots__ = ("td_mode", "decomposition", "kernel", "trace")
+
+    def __init__(
+        self,
+        td_mode: str,
+        decomposition: TreedepthDecomposition,
+        kernel: IlpInstance,
+        trace: KernelTrace,
+    ):
+        object.__setattr__(self, "td_mode", td_mode)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "trace", trace)
 
 
 def solve_pipeline(

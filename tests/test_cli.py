@@ -247,11 +247,16 @@ def test_oracle_ilp_without_numpy(two_blocks, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy serves only the exhaustive oracle; a solve must not import it
+    # every `tdilp solve` is a fresh process that compiles what it imports,
+    # so the CLI loads the oracles (and numpy), the generators and
+    # dataclasses only for the commands that run them
     src = str(Path(tdilp.__file__).resolve().parents[1])
-    code = "import sys, tdilp.cli; sys.exit('numpy' in sys.modules)"
+    unwanted = ["tdilp.oracle", "tdilp.reductions", "dataclasses", "numpy"]
+    code = f"import sys, tdilp.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_traced_launcher_matches_plain_solve(two_blocks, tmp_path):

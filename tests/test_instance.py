@@ -1,5 +1,8 @@
 """Text model: parsing, canonical serialization, and the instance type."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,6 +130,28 @@ def test_constraint_normal_form():
     assert c.is_satisfied({1: 1, 3: 3})
     with pytest.raises(IlpError):
         LinearConstraint.make({}, 0)
+
+
+def test_records_are_frozen_values():
+    # records compare and hash by field, are closed to assignment, and
+    # survive copy and pickle
+    x = VariableId(0, "x")
+    assert x == VariableId(0, "x") and hash(x) == hash(VariableId(0, "x"))
+    assert x != VariableId(1, "x")
+    row = LinearConstraint.make({1: 2, 0: 1}, 3)
+    same = LinearConstraint(((0, 1), (1, 2)), 3)
+    assert row == same and hash(row) == hash(same)
+    assert row != LinearConstraint(row.terms, 4)
+    assert LinearObjective(row.terms) != row
+    ins = IlpInstance([x, VariableId(1, "y")], [row, same], LinearObjective.make({0: 1}))
+    assert ins.constraints == (row,)
+    for record, field in ((x, "name"), (row, "rhs"), (LinearObjective(), "terms")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_objective_can_be_empty():

@@ -10,6 +10,7 @@ from tdilp import (
     BoxBound,
     IlpError,
     InstanceBuilder,
+    SolveOutcome,
     TreedepthDecomposition,
     parse_instance,
     solution_bound,
@@ -21,7 +22,7 @@ import tdilp.solver
 from tdilp.instance import check_feasible, evaluate_objective
 from tdilp.oracle import brute_force_ilp
 from tdilp.reductions import reduce_three_coloring
-from tdilp.solver import bounded_search, detect_unbounded
+from tdilp.solver import _crt, bounded_search, detect_unbounded
 from tdilp.structure import ROOT
 
 from conftest import cycle_graph, deep_twin_paths, petersen
@@ -44,6 +45,21 @@ def test_solution_bound_values():
 def test_box_bound_validation():
     with pytest.raises(ValueError):
         BoxBound(0)
+    with pytest.raises(AttributeError):
+        BoxBound(3).radius = 5
+
+
+def test_outcome_validation():
+    with pytest.raises(ValueError):
+        SolveOutcome("maybe")
+    with pytest.raises(ValueError):
+        SolveOutcome("optimal", 3)
+    with pytest.raises(ValueError):
+        SolveOutcome("infeasible", None, {0: 1})
+    with pytest.raises(AttributeError):
+        SolveOutcome.infeasible().status = "optimal"
+    assert SolveOutcome.optimal(3, {0: 3}) == SolveOutcome("optimal", 3, {0: 3})
+    assert hash(SolveOutcome.infeasible()) == hash(SolveOutcome("infeasible"))
 
 
 def test_simple_maximum():
@@ -334,6 +350,34 @@ def test_bounded_search_follows_the_oracle_leaf_order(case):
     )
     narrow = bounded_search(ins, box, min_domain_branching=True)
     assert (narrow.status, narrow.value) == (want.status, want.value)
+
+
+def test_crt_joins_residue_classes():
+    assert _crt(0, 1, 4, 7) == (4, 7)
+    assert _crt(2, 3, 3, 5) == (8, 15)  # coprime moduli
+    assert _crt(1, 4, 3, 6) == (9, 12)  # gcd 2, and 1 = 3 (mod 2)
+    assert _crt(1, 4, 2, 6) is None  # 1 and 2 differ mod 2
+
+
+def test_bounded_search_joins_two_moduli(monkeypatch):
+    # 2x - 3y = 1 and 2x - 5z = 1 put x in 2 mod 3 and 3 mod 5, joined as
+    # 8 mod 15: of x in [-8, 8] only -7 and 8 are left to branch on
+    joins = []
+
+    def spy(r1, m1, r2, m2):
+        joins.append({m1, m2})
+        return _crt(r1, m1, r2, m2)
+
+    monkeypatch.setattr(tdilp.solver, "_crt", spy)
+    ins = _parse("max: y - z\n2 x - 3 y = 1\n2 x - 5 z = 1\n")
+    want = brute_force_ilp(ins, 8)
+    assert (want.status, want.value) == ("optimal", 2)
+    for narrow in (False, True):
+        got = bounded_search(ins, 8, min_domain_branching=narrow)
+        assert (got.status, got.value, got.assignment) == (
+            want.status, want.value, want.assignment
+        )
+    assert {3, 5} in joins
 
 
 def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
