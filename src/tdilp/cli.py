@@ -120,7 +120,10 @@ def _cmd_kernelize(args) -> int:
 
 def _cmd_lift(args) -> int:
     trace = trace_from_json(_read(args.trace))
-    solution = json.loads(_read(args.solution))
+    try:
+        solution = json.loads(_read(args.solution))
+    except RecursionError as exc:
+        raise IlpError(f"solution is not valid JSON: {exc}") from None
     assignment = solution.get("assignment") if isinstance(solution, dict) else None
     if not isinstance(assignment, dict):
         raise IlpError("solution file has no assignment to lift")
@@ -334,6 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    # certified radii and the coordinates they bound can run past the 4,300
+    # digits that int <-> str conversion allows by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

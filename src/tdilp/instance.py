@@ -511,7 +511,6 @@ class InstanceBuilder:
         self._known: set[str] = set()
         self._rows: list[tuple[dict[str, int], int]] = []
         self._objective: dict[str, int] = {}
-        self._built: IlpInstance | None = None
 
     def var(self, name: str) -> str:
         if name not in self._known:
@@ -545,11 +544,5 @@ class InstanceBuilder:
             for terms, rhs in self._rows
         ]
         objective = LinearObjective.make({ids[n]: c for n, c in self._objective.items()})
-        self._built = IlpInstance(variables, constraints, objective)
-        return self._built
-
-    def id_of(self, name: str) -> int:
-        if self._built is None:
-            raise IlpError("build() has not been called yet")
-        return self._built.id_of(name)
+        return IlpInstance(variables, constraints, objective)
 

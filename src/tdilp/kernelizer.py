@@ -575,7 +575,7 @@ def _json_id(value) -> int:
 def trace_from_json(text: str) -> KernelTrace:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise KernelError(f"trace is not valid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise KernelError("trace JSON must be a list of steps")

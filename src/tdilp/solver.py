@@ -71,21 +71,21 @@ def _primitive(terms, rhs: int):
 
 
 class _SearchProgram:
-    """Instance compiled to index-based rows for the propagation loop."""
+    """Instance compiled to index-based rows for the propagation loop.
+
+    Under propagate, the rows that _presolve_rows derives join the
+    instance's rows in the instance's canonical row order.
+    """
 
     __slots__ = (
-        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n",
+        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n", "tightest",
         "rows_contradict", "cut_opposite", "equalities", "var_eqs",
     )
 
-    def __init__(self, instance: IlpInstance):
+    def __init__(self, instance: IlpInstance, propagate: bool = False):
         self.ids = instance.ids()
         index = {v: j for j, v in enumerate(self.ids)}
         self.n = len(self.ids)
-        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = [
-            _primitive(tuple((index[v], c) for v, c in row.terms), row.rhs)
-            for row in instance.constraints
-        ]
         self.obj = [0] * self.n
         for v, c in instance.objective.terms:
             self.obj[index[v]] = c
@@ -94,6 +94,21 @@ class _SearchProgram:
         self.cut_terms = tuple(
             (j, -c // self.cut_gcd) for j, c in enumerate(self.obj) if c != 0
         )
+        # ids ascend with the index, so these rows keep the instance's order
+        rows = [
+            (tuple((index[v], c) for v, c in row.terms), row.rhs)
+            for row in instance.constraints
+        ]
+        self._index_rows(rows)
+        if propagate:
+            extra = _presolve_rows(self)
+            if extra:
+                self._index_rows(sorted(extra.union(rows)))
+
+    def _index_rows(self, rows) -> None:
+        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = [
+            _primitive(terms, rhs) for terms, rhs in rows
+        ]
         self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
         for ri, (terms, _) in enumerate(self.rows):
             for j, _ in terms:
@@ -109,6 +124,7 @@ class _SearchProgram:
             if terms:
                 key = tuple(sorted(terms))
                 tightest[key] = min(rhs, tightest.get(key, rhs))
+        self.tightest = tightest
         self.rows_contradict = any(
             rhs + tightest.get(_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
         )
@@ -444,113 +460,54 @@ def detect_unbounded(instance: IlpInstance) -> bool:
 # domain presolve (the --propagate pass)
 
 
-def _propagation_presolve(instance: IlpInstance) -> IlpInstance:
-    """Generic integer-structure presolve used under the propagate flag.
+def _presolve_rows(program: _SearchProgram) -> set[tuple[tuple[tuple[int, int], ...], int]]:
+    """Rows the propagate flag adds, read off the program's indexes.
 
-    Three sound rewrites, each derived from row shapes alone:
-      * equality detection: a row plus its negation pin a hyperplane;
-      * remainder aliasing: two equalities g = p*m1 + r1 = p*m2 + r2 with
-        both remainders confined to [0, p-1] force r1 = r2 at every
-        integer point, so the equality rows are added explicitly;
-      * modular envelope: when g >= 0 occurs only in such remainder
-        equalities (m private to its pair, everything objective-free),
-        any feasible point translates to one with g < lcm(p), so the
-        bound g <= lcm(p) - 1 is added.
+    Both rewrites are sound and concern remainder equalities g - p*m - r = 0
+    whose r is confined to [0, p-1]:
+      * remainder aliasing: two such rows g = p*m1 + r1 = p*m2 + r2 force
+        r1 = r2 at every integer point, so that equality is added;
+      * modular envelope: when g >= 0 occurs only in such rows and in upper
+        bounds on itself, each m only in its row pair and in m >= 0, and
+        all of them are objective-free, any feasible point translates to
+        one with g < lcm(p), so the bound g <= lcm(p) - 1 is added.
     """
-    keys = {c.sort_key() for c in instance.constraints}
-
-    def row_present(var: int, coeff: int, rhs: int) -> bool:
-        return (((var, coeff),), rhs) in keys
-
-    equalities: list[LinearConstraint] = []
-    for c in instance.constraints:
-        neg = (tuple((v, -k) for v, k in c.terms), -c.rhs)
-        if neg in keys and c.sort_key() < neg:
-            equalities.append(c)
-
-    patterns: list[tuple[int, int, int, int]] = []  # (g, p, m, r)
-    for c in equalities:
-        if c.rhs != 0 or len(c.terms) != 3:
-            continue
-        for sign in (1, -1):
-            coeffs = [(v, sign * k) for v, k in c.terms]
-            ones = [v for v, k in coeffs if k == 1]
-            neg_ones = [v for v, k in coeffs if k == -1]
-            neg_big = [(v, k) for v, k in coeffs if k <= -2]
-            if len(ones) == 1 and len(neg_ones) == 1 and len(neg_big) == 1:
-                g, r = ones[0], neg_ones[0]
-                m, mk = neg_big[0]
-                patterns.append((g, -mk, m, r))
-
-    ranged = [
-        (g, p, m, r)
-        for g, p, m, r in patterns
-        if row_present(r, -1, 0) and row_present(r, 1, p - 1)
-    ]
-
-    extra: list[LinearConstraint] = []
-
+    rows, tightest, var_rows, obj = program.rows, program.tightest, program.var_rows, program.obj
     by_gp: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for g, p, m, r in ranged:
-        by_gp.setdefault((g, p), []).append((m, r))
-    for (_, _), entries in sorted(by_gp.items()):
-        entries.sort()
-        base_r = entries[0][1]
-        for _, other_r in entries[1:]:
-            if other_r == base_r:
-                continue
-            extra.append(LinearConstraint.make({base_r: 1, other_r: -1}, 0))
-            extra.append(LinearConstraint.make({base_r: -1, other_r: 1}, 0))
-
-    occurrences: dict[int, int] = {}
-    for c in instance.constraints:
-        for v in c.variables():
-            occurrences[v] = occurrences.get(v, 0) + 1
-
-    def m_private(m: int) -> bool:
-        if instance.objective.coefficient(m) != 0:
-            return False
-        expected = 2 + (1 if row_present(m, -1, 0) else 0)
-        return occurrences.get(m, 0) == expected
-
-    by_g: dict[int, list[tuple[int, int, int]]] = {}
-    for g, p, m, r in ranged:
-        if m_private(m):
-            by_g.setdefault(g, []).append((p, m, r))
-    for g in sorted(by_g):
-        if instance.objective.coefficient(g) != 0:
+    by_g: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+    for key, rhs in program.equalities:
+        if rhs != 0 or len(key) != 3:
             continue
-        if not row_present(g, -1, 0):
-            continue
-        pats = by_g[g]
-        allowed = {(((g, -1),), 0)}
-        for p, m, r in pats:
-            eq = LinearConstraint.make({g: 1, m: -p, r: -1}, 0)
-            allowed.add(eq.sort_key())
-            allowed.add((tuple((v, -k) for v, k in eq.terms), 0))
-        qualifying = True
-        for c in instance.constraints:
-            if g not in c.variables():
+        for terms in (key, _opposite(key)):
+            (m, neg_p), (r, neg_one), (g, one) = sorted(terms, key=lambda t: t[1])
+            if neg_p > -2 or neg_one != -1 or one != 1:
                 continue
-            key = c.sort_key()
-            if key in allowed:
+            p = -neg_p
+            if tightest.get(((r, -1),), 1) > 0 or tightest.get(((r, 1),), p) >= p:
                 continue
-            if len(c.terms) == 1 and c.terms[0] == (g, 1):
-                continue  # an existing upper bound on g only helps
-            qualifying = False
-            break
-        if not qualifying:
-            continue
-        modulus = math.lcm(*(p for p, _, _ in pats))
-        extra.append(LinearConstraint.make({g: 1}, modulus - 1))
+            by_gp.setdefault((g, p), []).append((m, r))
+            if obj[m] == 0 and len(var_rows[m]) == 2 + (tightest.get(((m, -1),)) == 0):
+                by_g.setdefault(g, []).append((p, terms))
 
-    if not extra:
-        return instance
-    return IlpInstance(
-        instance.variables,
-        tuple(instance.constraints) + tuple(extra),
-        instance.objective,
-    )
+    extra = set()
+    for entries in by_gp.values():
+        base_r = min(entries)[1]
+        for _, r in entries:
+            if r != base_r:
+                alias = tuple(sorted(((base_r, 1), (r, -1))))
+                extra.update(((alias, 0), (_opposite(alias), 0)))
+    for g, pats in by_g.items():
+        if obj[g] != 0 or tightest.get(((g, -1),)) != 0:
+            continue
+        allowed = {((g, -1),)}
+        for _, terms in pats:
+            allowed.update((terms, _opposite(terms)))
+        if all(
+            rows[ri][0] == ((g, 1),) or (rows[ri][1] == 0 and rows[ri][0] in allowed)
+            for ri in var_rows[g]
+        ):
+            extra.add((((g, 1),), math.lcm(*(p for p, _ in pats)) - 1))
+    return extra
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +529,7 @@ def solve_core(
     """
     certified = solution_bound(instance).radius
     radius = certified if bound is None else bound
-    search_instance = _propagation_presolve(instance) if propagate else instance
-    program = _SearchProgram(search_instance)
+    program = _SearchProgram(instance, propagate)
 
     hit = _dive(program, radius, None, propagate)
     if hit is None:

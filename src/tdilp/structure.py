@@ -91,42 +91,32 @@ class TreedepthDecomposition:
 
     def __init__(self, parent: Mapping[int, int]):
         par = dict(parent)
-        nodes = set(par)
-        for v, p in par.items():
-            if p == v:
-                raise StructureError(f"node {v} is its own parent")
-            if p != ROOT and p not in nodes:
-                raise StructureError(f"parent {p} of node {v} is not a node")
-        depth: dict[int, int] = {}
-        for v in par:
-            chain: list[int] = []
-            u = v
-            while u not in depth:
-                if u in chain:
-                    raise StructureError(f"parent cycle through node {u}")
-                chain.append(u)
-                p = par[u]
-                if p == ROOT:
-                    depth[u] = 1
-                    break
-                u = p
-            base = depth[chain[-1]] if chain and chain[-1] in depth else depth[u]
-            for node in reversed(chain):
-                if node not in depth:
-                    base += 1
-                    depth[node] = base
-                else:
-                    base = depth[node]
-        self.parent = par
-        self._depth = depth
-        self.height = max(depth.values(), default=0)
         kids: dict[int, list[int]] = {v: [] for v in par}
         roots: list[int] = []
         for v, p in par.items():
+            if p == v:
+                raise StructureError(f"node {v} is its own parent")
             if p == ROOT:
                 roots.append(v)
-            else:
+            elif p in kids:
                 kids[p].append(v)
+            else:
+                raise StructureError(f"parent {p} of node {v} is not a node")
+        # depths in one pass down from the roots; a node that no root
+        # reaches is on a parent cycle or below one
+        depth = dict.fromkeys(roots, 1)
+        stack = list(roots)
+        while stack:
+            v = stack.pop()
+            for c in kids[v]:
+                depth[c] = depth[v] + 1
+                stack.append(c)
+        if len(depth) < len(par):
+            u = min(par.keys() - depth.keys())
+            raise StructureError(f"node {u} is on or below a parent cycle")
+        self.parent = par
+        self._depth = depth
+        self.height = max(depth.values(), default=0)
         self._children = {v: tuple(sorted(cs)) for v, cs in kids.items()}
         self._roots = tuple(sorted(roots))
 
@@ -463,7 +453,7 @@ def _is_int_list(value) -> bool:
 def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWitness:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StructureError(f"witness is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise StructureError("witness JSON must be an object with a 'kind' field")

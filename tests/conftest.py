@@ -26,6 +26,11 @@ def complete_graph(n: int) -> Graph:
     return Graph(vs, [(u, v) for u in vs for v in vs if u < v])
 
 
+def odd_wheel() -> Graph:
+    """Hub 6 joined to every vertex of the 5-cycle: 4-chromatic."""
+    return Graph(range(1, 7), list(cycle_graph(5).edges) + [(i, 6) for i in range(1, 6)])
+
+
 def petersen() -> Graph:
     outer = [(i, i % 5 + 1) for i in range(1, 6)]
     spokes = [(i, i + 5) for i in range(1, 6)]
@@ -56,9 +61,10 @@ def deep_twin_paths(links: int):
 def propagate_calls(monkeypatch):
     """propagate_calls(limit) counts `tdilp.solver._propagate` calls and
     fails the test at call limit + 1, so a search that regresses stops
-    there instead of running to its end."""
+    there instead of running to its end.  It returns the list that gets
+    one entry per call."""
 
-    def install(limit: int) -> None:
+    def install(limit: int) -> list:
         calls = []
         real = tdilp.solver._propagate
 
@@ -69,6 +75,7 @@ def propagate_calls(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(tdilp.solver, "_propagate", counted)
+        return calls
 
     return install
 

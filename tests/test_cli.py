@@ -314,6 +314,53 @@ def test_bounds_past_the_int_string_limit(capsys):
     assert out[-1] == "e_1 = astronomically large"
 
 
+# feasible; its certified radius has about 5,000 digits and the
+# certificate puts x at minus the radius
+HUGE_CAP = "max: 0\nx - y <= 0\ny <= 1" + "0" * 1000 + "\n"
+
+
+def test_huge_certificate_survives_kernelize_solve_lift(tmp_path, capsys):
+    f = tmp_path / "huge.ilp"
+    f.write_text(HUGE_CAP)
+    assert run(["solve", str(f)]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert (direct["status"], direct["value"]) == ("optimal", 0)
+    assert len(str(direct["assignment"]["x"])) > 4300
+
+    kern, trace, sol = tmp_path / "kernel.ilp", tmp_path / "trace.json", tmp_path / "sol.json"
+    assert run(["kernelize", str(f), "-o", str(kern), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert run(["solve", str(kern)]) == 0
+    sol.write_text(capsys.readouterr().out)
+    assert run(["lift", "--trace", str(trace), "--solution", str(sol)]) == 0
+    lifted = json.loads(capsys.readouterr().out)
+    assert (lifted["status"], lifted["value"]) == ("optimal", 0)
+    assert lifted["assignment"] == direct["assignment"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "ILP", "--td", "DEEP"],
+    ["verify", "ILP", "--witness", "DEEP"],
+    ["lift", "--trace", "DEEP", "--solution", "SOLUTION"],
+    ["lift", "--trace", "TRACE", "--solution", "DEEP"],
+], ids=["solve-td", "verify-witness", "lift-trace", "lift-solution"])
+def test_deeply_nested_json_is_an_input_error(two_blocks, tmp_path, capsys, argv):
+    # json.loads raises RecursionError on 200,000 nested arrays
+    files = {"ILP": two_blocks}
+    for key, text in [
+        ("DEEP", "[" * 200_000),
+        ("TRACE", json.dumps([GOOD_STEP])),
+        ("SOLUTION", json.dumps(KERNEL_SOLUTION)),
+    ]:
+        path = tmp_path / f"{key.lower()}.json"
+        path.write_text(text)
+        files[key] = str(path)
+    assert run([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run([]) == 2
     assert run(["solve", str(tmp_path / "missing.ilp")]) == 2

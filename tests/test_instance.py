@@ -199,7 +199,7 @@ def test_builder_matches_parser():
     built = b.build()
     parsed = parse_instance("max: x\nx + y <= 4\ny >= 0\n")
     assert built == parsed
-    assert b.id_of("x") == parsed.id_of("x")
+    assert built.id_of("x") == parsed.id_of("x")
 
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -314,4 +314,4 @@ def test_parser_builds_like_builder(objective, rows):
     assert parsed.variables == built.variables
     assert parsed.constraints == built.constraints
     assert parsed.objective == built.objective
-    assert all(parsed.id_of(v.name) == b.id_of(v.name) for v in built.variables)
+    assert all(parsed.id_of(v.name) == built.id_of(v.name) for v in built.variables)

@@ -20,12 +20,12 @@ from tdilp import (
 )
 import tdilp.solver
 from tdilp.instance import check_feasible, evaluate_objective
-from tdilp.oracle import brute_force_ilp
+from tdilp.oracle import brute_force_ilp, brute_three_coloring
 from tdilp.reductions import reduce_three_coloring
 from tdilp.solver import _crt, bounded_search, detect_unbounded
 from tdilp.structure import ROOT
 
-from conftest import cycle_graph, deep_twin_paths, petersen
+from conftest import complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
 
 
 def _parse(text):
@@ -405,16 +405,24 @@ def test_deep_twin_path_kernel_solves(propagate_calls):
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 151)
 
 
-@pytest.mark.parametrize("graph, limit", [
-    (cycle_graph(7), 60),
-    (cycle_graph(8), 100),
-    (petersen(), 100),
-], ids=["C7", "C8", "petersen"])
-def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, limit):
+@pytest.mark.parametrize("graph, calls", [
+    (cycle_graph(5), 25),
+    (cycle_graph(6), 35),
+    (cycle_graph(7), 43),
+    (cycle_graph(8), 55),
+    (complete_graph(4), 23),
+    (odd_wheel(), 23),
+    (petersen(), 73),
+], ids=["C5", "C6", "C7", "C8", "K4", "W5", "petersen"])
+def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, calls):
     # once a vertex fixes r = 0, each row g - p*m - r = 0 puts g in a class
-    # mod p; rows alone walk g from residue to residue up to the update cap
+    # mod p; rows alone walk g from residue to residue up to the update cap.
+    # The counts are exact: the presolve rows, their order and the update
+    # budget all shape the search, so a change to any of them shows here.
     ins, witness = reduce_three_coloring(graph)
-    propagate_calls(limit)
+    counted = propagate_calls(calls)
     outcome, _ = solve_pipeline(ins, witness, propagate=True)
-    assert outcome.status == "optimal"
-    assert check_feasible(ins, outcome.assignment)
+    assert len(counted) == calls
+    assert outcome.status == ("optimal" if brute_three_coloring(graph) else "infeasible")
+    if outcome.status == "optimal":
+        assert check_feasible(ins, outcome.assignment)

@@ -57,11 +57,23 @@ def test_decomposition_shape():
 def test_decomposition_rejects_cycles_and_orphans():
     with pytest.raises(StructureError):
         TreedepthDecomposition({0: 1, 1: 0})
+    with pytest.raises(StructureError, match="parent cycle"):
+        # 0 -> 1 -> 2 -> 0 is a cycle, 3 and 4 hang below it, 5 is a root
+        TreedepthDecomposition({0: 1, 1: 2, 2: 0, 3: 0, 4: 3, 5: ROOT})
     with pytest.raises(StructureError):
         TreedepthDecomposition({0: 5})
     d = TreedepthDecomposition({0: ROOT, 1: 0})
     with pytest.raises(StructureError):
         d.drop_nodes([0])  # would orphan 1
+
+
+def test_decomposition_depths_with_child_first_ids():
+    # node i hangs below node i + 1, so every parent id is larger than its child's
+    n = 20_000
+    d = TreedepthDecomposition({i: i + 1 if i + 1 < n else ROOT for i in range(n)})
+    assert d.height == n
+    assert all(d.depth_of(i) == n - i for i in range(n))
+    assert d.roots() == (n - 1,)
 
 
 def test_exact_treedepth_known_values():
