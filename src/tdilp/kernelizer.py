@@ -69,26 +69,6 @@ class TraceStep(Record):
         object.__setattr__(self, "names", names)
 
 
-class KernelTrace:
-    """Ordered prune log; replaying it on the original reproduces the kernel."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: Iterable[TraceStep] = ()):
-        self.steps = tuple(steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        if not isinstance(other, KernelTrace):
-            return NotImplemented
-        return self.steps == other.steps
-
-
 # ---------------------------------------------------------------------------
 # touching sets and signatures
 
@@ -385,7 +365,7 @@ def prune_step(
 def kernelize(
     instance: IlpInstance,
     decomposition: TreedepthDecomposition,
-) -> tuple[IlpInstance, TreedepthDecomposition, KernelTrace]:
+) -> tuple[IlpInstance, TreedepthDecomposition, tuple[TraceStep, ...]]:
     """Exhaustive bottom-up pruning in one indexed pass.
 
     Processes parents from the deepest level up to the roots and then a
@@ -413,17 +393,17 @@ def kernelize(
     ]
     sibling_sets.append(decomposition.roots())
 
-    steps = [
+    steps = tuple(
         _trace_step(instance, witness, gone)
         for kids in sibling_sets
         for witness, gone in pruner.prune(kids)
-    ]
+    )
     kernel = omit_variables(instance, pruner.gone_vars)
-    return kernel, decomposition.drop_nodes(pruner.gone_vars), KernelTrace(steps)
+    return kernel, decomposition.drop_nodes(pruner.gone_vars), steps
 
 
 def lift_solution(
-    trace: KernelTrace, assignment: Mapping, *, by_name: bool = False
+    trace: tuple[TraceStep, ...], assignment: Mapping, *, by_name: bool = False
 ) -> dict:
     """Replay the prune log backwards, copying keeper values onto twins.
 
@@ -431,7 +411,7 @@ def lift_solution(
     name, which each step's names translate from its ids.
     """
     lifted = dict(assignment)
-    for step in reversed(trace.steps):
+    for step in reversed(trace):
         for src, dst in step.delta.items():
             if by_name:
                 src, dst = step.names[src], step.names[dst]
@@ -518,9 +498,6 @@ class KernelBounds(Record):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
 
-    def e1(self) -> int | Astronomical:
-        return self.e[1]
-
 
 def compute_bounds(ell: int, k: int) -> KernelBounds:
     """Exact evaluation of the d_i / e_i recurrences, top of the ladder
@@ -552,7 +529,7 @@ def format_bound(value: int | Astronomical) -> str:
 # trace file format
 
 
-def trace_to_json(trace: KernelTrace) -> str:
+def trace_to_json(trace: tuple[TraceStep, ...]) -> str:
     doc = [
         {
             "omitted": list(step.omitted),
@@ -560,7 +537,7 @@ def trace_to_json(trace: KernelTrace) -> str:
             "delta": {str(src): dst for src, dst in sorted(step.delta.items())},
             "names": {str(v): name for v, name in sorted(step.names.items())},
         }
-        for step in trace.steps
+        for step in trace
     ]
     return json.dumps(doc, indent=2)
 
@@ -572,7 +549,7 @@ def _json_id(value) -> int:
     return value
 
 
-def trace_from_json(text: str) -> KernelTrace:
+def trace_from_json(text: str) -> tuple[TraceStep, ...]:
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -595,4 +572,4 @@ def trace_from_json(text: str) -> KernelTrace:
         if unnamed:
             raise KernelError(f"trace step names no variable for ids {sorted(unnamed)}")
         steps.append(step)
-    return KernelTrace(steps)
+    return tuple(steps)

@@ -11,7 +11,7 @@ import itertools
 from functools import lru_cache
 
 from .instance import IlpError, IlpInstance
-from .outcome import SolveOutcome
+from .outcome import INFEASIBLE, OPTIMAL, SolveOutcome
 from .structure import Graph, TreedepthDecomposition
 
 
@@ -45,7 +45,7 @@ def brute_force_ilp(instance: IlpInstance, box: int, budget: int = 10**8) -> Sol
     if total > budget:
         raise OracleBudgetError(f"{total} points exceed the budget of {budget}")
     if n == 0:
-        return SolveOutcome.optimal(0, {})
+        return SolveOutcome(OPTIMAL, 0, {})
 
     biggest = 0
     for c in instance.constraints:
@@ -90,12 +90,12 @@ def brute_force_ilp(instance: IlpInstance, box: int, budget: int = 10**8) -> Sol
             best_val = val
             best_idx = start + arg
     if best_val is None:
-        return SolveOutcome.infeasible()
+        return SolveOutcome(INFEASIBLE)
     assignment = {}
     for j in range(n):
         digit = (best_idx // int(places[j])) % width
         assignment[ids[j]] = int(box - digit) if flip[j] else int(digit - box)
-    return SolveOutcome.optimal(best_val, assignment)
+    return SolveOutcome(OPTIMAL, best_val, assignment)
 
 
 def subset_sum_dp(values, target: int | None = None) -> bool:

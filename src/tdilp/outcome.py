@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from typing import Mapping
 
 from .instance import Record
 
@@ -48,25 +47,6 @@ class SolveOutcome(Record):
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "kernel_vars", kernel_vars)
         object.__setattr__(self, "original_vars", original_vars)
-
-    @staticmethod
-    def optimal(value: int, assignment: Mapping[int, int]) -> "SolveOutcome":
-        return SolveOutcome(OPTIMAL, value, dict(assignment))
-
-    @staticmethod
-    def infeasible() -> "SolveOutcome":
-        return SolveOutcome(INFEASIBLE)
-
-    @staticmethod
-    def unbounded() -> "SolveOutcome":
-        return SolveOutcome(UNBOUNDED)
-
-    @staticmethod
-    def bound_exhausted() -> "SolveOutcome":
-        return SolveOutcome(BOUND_EXHAUSTED)
-
-    def with_counts(self, kernel_vars: int, original_vars: int) -> "SolveOutcome":
-        return SolveOutcome(self.status, self.value, self.assignment, kernel_vars, original_vars)
 
     def to_json(self, name_of=None) -> str:
         """Render for the CLI; ``name_of`` maps variable ids to names."""

@@ -24,8 +24,8 @@ from .instance import (
     evaluate_objective,
     max_abs_coefficient,
 )
-from .kernelizer import KernelTrace, kernelize, lift_solution
-from .outcome import BOX_OPTIMAL, OPTIMAL, SolveOutcome
+from .kernelizer import TraceStep, kernelize, lift_solution
+from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, OPTIMAL, UNBOUNDED, SolveOutcome
 from .structure import TreedepthDecomposition, decompose
 
 
@@ -430,7 +430,7 @@ def bounded_search(
     program = _SearchProgram(instance)
     hit = _dive(program, radius, None, min_domain_branching)
     if hit is None:
-        return SolveOutcome.infeasible()
+        return SolveOutcome(INFEASIBLE)
     return _optimal(program, _maximize(program, radius, hit, min_domain_branching))
 
 
@@ -534,13 +534,13 @@ def solve_core(
     hit = _dive(program, radius, None, propagate)
     if hit is None:
         if radius < certified:
-            return SolveOutcome.bound_exhausted()
-        return SolveOutcome.infeasible()
+            return SolveOutcome(BOUND_EXHAUSTED)
+        return SolveOutcome(INFEASIBLE)
 
     status = OPTIMAL
     if not instance.objective.is_zero():
         if detect_unbounded(instance):
-            return SolveOutcome.unbounded()
+            return SolveOutcome(UNBOUNDED)
         hit = _maximize(program, radius, hit, propagate)
         beaten = _dive(program, certified, hit[1] + 1, propagate) if radius < certified else None
         if beaten is not None:
@@ -564,7 +564,7 @@ class PipelineInfo(Record):
         td_mode: str,
         decomposition: TreedepthDecomposition,
         kernel: IlpInstance,
-        trace: KernelTrace,
+        trace: tuple[TraceStep, ...],
     ):
         object.__setattr__(self, "td_mode", td_mode)
         object.__setattr__(self, "decomposition", decomposition)
@@ -587,22 +587,21 @@ def solve_pipeline(
     if use_kernel:
         kernel, _, trace = kernelize(instance, decomposition)
     else:
-        kernel, trace = instance, KernelTrace()
+        kernel, trace = instance, ()
 
-    outcome = solve_core(kernel, propagate=propagate, bound=bound)
+    core = solve_core(kernel, propagate=propagate, bound=bound)
 
-    if outcome.assignment is not None:
-        lifted = lift_solution(trace, outcome.assignment)
+    lifted = core.assignment
+    if lifted is not None:
+        lifted = lift_solution(trace, lifted)
         if set(lifted) != set(instance.ids()):
             raise InternalError("lifted assignment does not cover the instance")
         if not check_feasible(instance, lifted):
             raise InternalError("lifted assignment violates a constraint")
-        value = evaluate_objective(instance, lifted)
-        if value != outcome.value:
+        if evaluate_objective(instance, lifted) != core.value:
             raise InternalError("lifting changed the objective value")
-        outcome = SolveOutcome(outcome.status, value, lifted)
 
-    outcome = outcome.with_counts(kernel.n_variables, instance.n_variables)
+    outcome = SolveOutcome(core.status, core.value, lifted, kernel.n_variables, instance.n_variables)
     return outcome, PipelineInfo(td_mode, decomposition, kernel, trace)
 
 

@@ -292,14 +292,14 @@ def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, Treedepth
         )
     memo: dict[frozenset[int], tuple[int, dict[int, int]]] = {}
 
-    def solve_connected(vset: frozenset[int], beat: int | None) -> tuple[int, dict[int, int]]:
+    def solve_connected(vset: frozenset[int]) -> tuple[int, dict[int, int]]:
         if len(vset) == 1:
             (v,) = vset
             return 1, {v: ROOT}
         hit = memo.get(vset)
         if hit is not None:
             return hit
-        best = beat if beat is not None else len(vset) + 1
+        best = len(vset) + 1
         best_wit: dict[int, int] | None = None
         for v in sorted(vset):
             rest = vset - {v}
@@ -307,7 +307,7 @@ def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, Treedepth
             parts: list[dict[int, int]] = []
             viable = True
             for comp in _components_within(rest, graph):
-                h, wit = solve_connected(comp, None)
+                h, wit = solve_connected(comp)
                 partial = max(partial, h)
                 parts.append(wit)
                 if partial + 1 >= best:
@@ -327,8 +327,7 @@ def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, Treedepth
     forest: dict[int, int] = {}
     height = 0
     for comp in graph.connected_components():
-        seed = dfs_treedepth_heuristic(graph.subgraph(comp)).height + 1
-        h, wit = solve_connected(frozenset(comp), seed)
+        h, wit = solve_connected(frozenset(comp))
         forest.update(wit)
         height = max(height, h)
     decomposition = TreedepthDecomposition(forest)
@@ -392,28 +391,16 @@ def verify_tree_decomposition(graph: Graph, witness: TreeDecompositionWitness) -
     for u, v in graph.edges:
         if not any(u in bag and v in bag for bag in witness.bags.values()):
             return False
-    # occurrences of each vertex must induce a connected subtree
-    skeleton = TreedepthDecomposition(witness.tree)
-    for x in graph.vertices:
-        holders = [node for node, bag in witness.bags.items() if x in bag]
-        if not holders:
-            return False
-        holder_set = set(holders)
-        seen = {holders[0]}
-        queue = [holders[0]]
-        while queue:
-            node = queue.pop()
-            near = list(skeleton.children(node))
-            p = skeleton.parent[node]
-            if p != ROOT:
-                near.append(p)
-            for other in near:
-                if other in holder_set and other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        if seen != holder_set:
-            return False
-    return True
+    # the nodes holding a vertex induce a connected subtree exactly when
+    # one of them has its parent (or ROOT) outside them
+    tops = dict.fromkeys(graph.vertices, 0)
+    for node, bag in witness.bags.items():
+        parent = witness.tree[node]
+        if parent != ROOT:
+            bag = bag - witness.bags[parent]
+        for x in bag:
+            tops[x] += 1
+    return all(count == 1 for count in tops.values())
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,8 @@ def test_duplicate_block_kernel_is_size_invariant(verdict):
             if out.status != "optimal" or out.value != want_value:
                 failures.append((label, n, "outcome", out.status, out.value))
                 continue
-            if len(info.trace.steps) != n - 1:
-                failures.append((label, n, "steps", len(info.trace.steps)))
+            if len(info.trace) != n - 1:
+                failures.append((label, n, "steps", len(info.trace)))
             if not check_feasible(ins, out.assignment):
                 failures.append((label, n, "lifted point infeasible"))
             if evaluate_objective(ins, out.assignment) != out.value:
@@ -380,7 +380,7 @@ def test_kernel_size_stays_within_ladder_gate(verdict):
             if kernel.n_variables > e1:
                 violations.append((label, kernel.n_variables, e1))
         # the kernel is always a fixpoint, gated or not
-        if len(kernelize(kernel, kernel_dec)[2].steps) != 0:
+        if len(kernelize(kernel, kernel_dec)[2]) != 0:
             violations.append((label, "kernel not a fixpoint"))
     verdict(
         "kernel size ladder gate",

@@ -57,9 +57,10 @@ def test_outcome_validation():
     with pytest.raises(ValueError):
         SolveOutcome("infeasible", None, {0: 1})
     with pytest.raises(AttributeError):
-        SolveOutcome.infeasible().status = "optimal"
-    assert SolveOutcome.optimal(3, {0: 3}) == SolveOutcome("optimal", 3, {0: 3})
-    assert hash(SolveOutcome.infeasible()) == hash(SolveOutcome("infeasible"))
+        SolveOutcome("infeasible").status = "optimal"
+    assert SolveOutcome("optimal", 3, {0: 3}) == SolveOutcome("optimal", 3, {0: 3})
+    assert SolveOutcome("optimal", 3, {0: 3}) != SolveOutcome("optimal", 3, {0: 3}, 1, 1)
+    assert hash(SolveOutcome("infeasible")) == hash(SolveOutcome("infeasible"))
 
 
 def test_simple_maximum():

@@ -162,6 +162,10 @@ def test_verify_tree_decomposition_catches_failures():
         {0: ROOT, 1: 0, 2: 1}, {0: [0, 1], 1: [0], 2: [1, 0]}
     )
     assert not verify_tree_decomposition(g, w2)
+    # vertex 1 is held by the roots of two different trees
+    w3 = TreeDecompositionWitness({0: ROOT, 1: ROOT}, {0: [0, 1], 1: [1]})
+    assert not verify_tree_decomposition(g, w3)
+    assert verify_tree_decomposition(g, TreeDecompositionWitness({0: ROOT, 1: ROOT}, {0: [0, 1], 1: []}))
 
 
 def test_witness_json_roundtrip_treedepth():
