@@ -41,15 +41,38 @@ class BoxBound(Record):
 
 
 def solution_bound(instance: IlpInstance) -> BoxBound:
-    """Certified radius B = n * (m*a)^(2m+1), a = max(coefficient bound, 1).
+    """Certified radius: the smaller of two classical magnitude bounds.
 
-    The classical magnitude bound for integer programs: a feasible
-    instance has a feasible point with every coordinate in [-B, B].
+    A feasible instance has a feasible point with every coordinate in
+    [-B, B]; a finite optimum and, for an unbounded objective, an integer
+    recession ray are attained there too.  Papadimitriou's bound (JACM
+    1981) is n * (m*a)^(2m+1), a = max(coefficient bound, 1).  The bound of
+    Cook, Gerards, Schrijver and Tardos (Math. Programming 1986; Schrijver,
+    Theory of Linear and Integer Programming, Thm. 17.1) is (n+1) * Delta,
+    Delta the largest absolute subdeterminant of [A b].  By Hadamard's
+    inequality Delta is at most the product of the Euclidean norms of the
+    nonzero rows of [A b], and at most that of its nonzero columns, so
+    isqrt of the smaller squared product, plus one, bounds Delta in exact
+    integers.  Without rows only the first bound applies.
     """
     n = instance.n_variables
     m = instance.n_constraints
     a = max(max_abs_coefficient(instance), 1)
-    return BoxBound(max(1, n * (m * a) ** (2 * m + 1)))
+    bound = max(1, n * (m * a) ** (2 * m + 1))
+    if m:
+        # squared norms; every row has a term, but b can be a zero column,
+        # which is in no nonzero subdeterminant
+        rows_sq, b_sq, cols_sq = 1, 0, {}
+        for row in instance.constraints:
+            row_sq = row.rhs * row.rhs
+            b_sq += row_sq
+            for v, c in row.terms:
+                row_sq += c * c
+                cols_sq[v] = cols_sq.get(v, 0) + c * c
+            rows_sq *= row_sq
+        delta_sq = min(rows_sq, math.prod(cols_sq.values()) * (b_sq or 1))
+        bound = min(bound, (n + 1) * (math.isqrt(delta_sq) + 1))
+    return BoxBound(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +101,8 @@ class _SearchProgram:
     """
 
     __slots__ = (
-        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "n", "tightest",
-        "rows_contradict", "cut_opposite", "equalities", "var_eqs",
+        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "lo_readers", "hi_readers",
+        "n", "tightest", "rows_contradict", "cut_opposite", "equalities", "var_eqs",
     )
 
     def __init__(self, instance: IlpInstance, propagate: bool = False):
@@ -110,9 +133,18 @@ class _SearchProgram:
             _primitive(terms, rhs) for terms, rhs in rows
         ]
         self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
+        # The rows whose floor sum reads lo[j] (x_j has a positive
+        # coefficient) and hi[j] (a negative one): _propagate requeues only
+        # those when that bound moves.  A row over one variable bounds it by
+        # its rhs alone, so after one pass it never tightens again and is
+        # listed in neither.
+        self.lo_readers: list[list[int]] = [[] for _ in range(self.n)]
+        self.hi_readers: list[list[int]] = [[] for _ in range(self.n)]
         for ri, (terms, _) in enumerate(self.rows):
-            for j, _ in terms:
+            for j, c in terms:
                 self.var_rows[j].append(ri)
+                if len(terms) > 1:
+                    (self.lo_readers if c > 0 else self.hi_readers)[j].append(ri)
         # Two rows a.x <= b1, -a.x <= b2 with b1 + b2 < 0 are a complete
         # infeasibility proof, and interval propagation, converging one unit
         # per pass on such a pair, never finishes it over a certified box.
@@ -187,9 +219,11 @@ def _propagate(
     hi: list[int],
     classes: dict[int, tuple[int, int]],
     cut_rhs: int | None,
-) -> bool:
-    """Tighten [lo, hi] and the residue classes to a (capped) fixpoint;
-    False iff infeasible.
+    branched: int | None = None,
+) -> bool | None:
+    """Tighten [lo, hi] and the residue classes toward their fixpoint.
+    None iff infeasible; otherwise whether the fixpoint was reached (False
+    when the update cap stopped the pass first).
 
     classes[j] = (r, m) means x_j = r (mod m); a variable without an entry
     has m = 1.  Rows tighten interval bounds.  Each time the row queue
@@ -199,66 +233,86 @@ def _propagate(
     meet such congruences one at a time and walk a variable from residue
     to residue.  The update cap stops whatever creep remains on huge
     boxes; stopping early is sound because propagation only ever narrows.
-    """
-    rows = list(program.rows)
-    if cut_rhs is not None and program.cut_terms:
-        rows.append((program.cut_terms, cut_rhs))
-    n_rows = len(rows)
-    if n_rows == 0:
-        return all(lo[j] <= hi[j] for j in range(program.n))
-    budget = 4 * n_rows + 8 * program.n + 32
-    queue = deque(range(n_rows))
-    queued = [True] * n_rows
-    equalities = program.equalities
-    eq_queue = deque(range(len(equalities)))
-    eq_queued = [True] * len(equalities)
-    var_rows, var_eqs, obj = program.var_rows, program.var_eqs, program.obj
-    cut_row = n_rows - 1 if (cut_rhs is not None and program.cut_terms) else None
 
-    def moved(j: int) -> None:
-        for other in var_rows[j]:
+    A moved bound requeues only the rows whose floor sum reads it (see
+    _SearchProgram.lo_readers).  A row's pass moves only bounds its own
+    floor sum does not read, so the row never needs to run again for its
+    own moves.  branched=j says the state is a fixpoint of the same rows
+    and cut except for x_j's domain, so only what reads x_j is queued;
+    None queues everything.
+    """
+    rows = program.rows
+    cut_row = len(rows) if cut_rhs is not None and program.cut_terms else None
+    n_rows = len(rows) + (cut_row is not None)
+    if n_rows == 0:
+        return True if all(lo[j] <= hi[j] for j in range(program.n)) else None
+    budget = 4 * n_rows + 8 * program.n + 32
+    equalities = program.equalities
+    lo_readers, hi_readers = program.lo_readers, program.hi_readers
+    var_eqs, obj = program.var_eqs, program.obj
+    # the cut row -obj.x <= cut_rhs reads hi[j] where obj[j] > 0 and lo[j]
+    # where obj[j] < 0; over one variable it is a bounds row
+    cut_links = cut_row is not None and len(program.cut_terms) > 1
+
+    def moved(j: int, readers: list[int], cut_reads: bool) -> None:
+        for other in readers:
             if not queued[other]:
-                queued[other] = True
+                queued[other] = 1
                 queue.append(other)
-        if cut_row is not None and obj[j] != 0 and not queued[cut_row]:
-            queued[cut_row] = True
+        if cut_reads and not queued[cut_row]:
+            queued[cut_row] = 1
             queue.append(cut_row)
         for ei in var_eqs[j]:
             if not eq_queued[ei]:
-                eq_queued[ei] = True
+                eq_queued[ei] = 1
                 eq_queue.append(ei)
+
+    if branched is None:
+        queue = deque(range(n_rows))
+        queued = bytearray(b"\x01") * n_rows
+        eq_queue = deque(range(len(equalities)))
+        eq_queued = bytearray(b"\x01") * len(equalities)
+    else:
+        queue, queued = deque(), bytearray(n_rows)
+        eq_queue, eq_queued = deque(), bytearray(len(equalities))
+        moved(branched, lo_readers[branched], cut_links and obj[branched] < 0)
+        moved(branched, hi_readers[branched], cut_links and obj[branched] > 0)
 
     while queue or eq_queue:
         if not queue:
             ei = eq_queue.popleft()
-            eq_queued[ei] = False
+            eq_queued[ei] = 0
             implied = _implied_classes(*equalities[ei], lo, hi)
             if implied is None:
-                return False
+                return None
             for j, r, m in implied:
                 joined = _crt(*classes.get(j, (0, 1)), r, m)
                 if joined is None:
-                    return False
+                    return None
                 r, m = classes[j] = joined
                 new_lo = lo[j] + (r - lo[j]) % m
                 new_hi = hi[j] - (hi[j] - r) % m
                 if new_lo > new_hi:
-                    return False
-                if new_lo != lo[j] or new_hi != hi[j]:
+                    return None
+                rose, fell = new_lo != lo[j], new_hi != hi[j]
+                if rose or fell:
                     lo[j], hi[j] = new_lo, new_hi
                     budget -= 1
                     if budget <= 0:
-                        return True
-                    moved(j)
+                        return False
+                    if rose:
+                        moved(j, lo_readers[j], cut_links and obj[j] < 0)
+                    if fell:
+                        moved(j, hi_readers[j], cut_links and obj[j] > 0)
             continue
         ri = queue.popleft()
-        queued[ri] = False
-        terms, rhs = rows[ri]
+        queued[ri] = 0
+        terms, rhs = rows[ri] if ri != cut_row else (program.cut_terms, cut_rhs)
         floor_sum = 0
         for j, c in terms:
             floor_sum += c * lo[j] if c > 0 else c * hi[j]
         if floor_sum > rhs:
-            return False
+            return None
         for j, c in terms:
             own = c * lo[j] if c > 0 else c * hi[j]
             room = rhs - (floor_sum - own)
@@ -279,17 +333,22 @@ def _propagate(
                     new_lo += (r - new_lo) % m
                 lo[j] = new_lo
             if lo[j] > hi[j]:
-                return False
+                return None
             budget -= 1
             if budget <= 0:
-                return True
-            moved(j)
+                return False
+            if c > 0:
+                moved(j, hi_readers[j], cut_links and obj[j] > 0)
+            else:
+                moved(j, lo_readers[j], cut_links and obj[j] < 0)
     return True
 
 
 def _pick_branch_var(
-    program: _SearchProgram, lo: list[int], hi: list[int], widest_last: bool
+    program: _SearchProgram, lo: list[int], hi: list[int], widest_last: bool, start: int
 ) -> int | None:
+    """The narrowest unfixed variable under widest_last, else the lowest-id
+    one; every variable below start is known to be fixed."""
     if widest_last:
         best_j, best_w = None, None
         for j in range(program.n):
@@ -297,7 +356,7 @@ def _pick_branch_var(
             if w > 0 and (best_w is None or w < best_w):
                 best_j, best_w = j, w
         return best_j
-    for j in range(program.n):
+    for j in range(start, program.n):
         if lo[j] < hi[j]:
             return j
     return None
@@ -331,17 +390,21 @@ def _dive(
     if cut_rhs is not None and program.cut_opposite is not None:
         if cut_rhs + program.cut_opposite < 0:
             return None
-    # a node: lo, hi and the residue classes (see _propagate); each child
-    # copies them, since a class derived from a child's fixed values does
-    # not hold for its siblings
-    stack: list[tuple[list[int], list[int], dict[int, tuple[int, int]]]] = [
-        ([-radius] * n, [radius] * n, {})
+    # a node: lo, hi, the residue classes (see _propagate) and the variable
+    # its parent branched on, None at the root and below a cap exit; each
+    # child copies the first three, since a class derived from a child's
+    # fixed values does not hold for its siblings
+    stack: list[tuple[list[int], list[int], dict[int, tuple[int, int]], int | None]] = [
+        ([-radius] * n, [radius] * n, {}, None)
     ]
     while stack:
-        lo, hi, classes = stack.pop()
-        if not _propagate(program, lo, hi, classes, cut_rhs):
+        lo, hi, classes, branched = stack.pop()
+        done = _propagate(program, lo, hi, classes, cut_rhs, branched=branched)
+        if done is None:
             continue
-        j = _pick_branch_var(program, lo, hi, min_domain_branching)
+        # under lowest-id branching every variable below the parent's branch
+        # variable is fixed; after a cap exit (no seed) the scan starts at 0
+        j = _pick_branch_var(program, lo, hi, min_domain_branching, branched or 0)
         if j is None:
             point = lo
             feasible = all(
@@ -367,11 +430,14 @@ def _dive(
         halves = [(first, mid), (mid + 1, last)]
         parts += [h for h in (halves[::-1] if up else halves) if h[0] <= h[1]]
         r, m = classes.get(j, (0, 1))
+        # a child differs from this node only in x_j, so after a fixpoint it
+        # re-propagates only what reads x_j; after a cap exit, everything
+        seed = j if done else None
         for a, b in reversed(parts):
             a, b = a + (r - a) % m, b - (b - r) % m
             if a > b:
                 continue
-            child = (list(lo), list(hi), dict(classes))
+            child = (list(lo), list(hi), dict(classes), seed)
             child[0][j], child[1][j] = a, b
             stack.append(child)
     return None

@@ -68,11 +68,11 @@ def propagate_calls(monkeypatch):
         calls = []
         real = tdilp.solver._propagate
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(None)
             if len(calls) > limit:
                 pytest.fail(f"more than {limit} _propagate calls")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(tdilp.solver, "_propagate", counted)
         return calls

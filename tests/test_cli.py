@@ -314,9 +314,9 @@ def test_bounds_past_the_int_string_limit(capsys):
     assert out[-1] == "e_1 = astronomically large"
 
 
-# feasible; its certified radius has about 5,000 digits and the
-# certificate puts x at minus the radius
-HUGE_CAP = "max: 0\nx - y <= 0\ny <= 1" + "0" * 1000 + "\n"
+# feasible; its certified radius, 3 * (isqrt(2 * 10^10000) + 1), has 5,001
+# digits, and the certificate puts x at minus the radius
+HUGE_CAP = "max: 0\nx - y <= 0\ny <= 1" + "0" * 5000 + "\n"
 
 
 def test_huge_certificate_survives_kernelize_solve_lift(tmp_path, capsys):

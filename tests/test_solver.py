@@ -1,9 +1,12 @@
 """Exact solve: box bound, search, unboundedness, and the full pipeline."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdilp import (
@@ -19,10 +22,10 @@ from tdilp import (
     solve_pipeline,
 )
 import tdilp.solver
-from tdilp.instance import check_feasible, evaluate_objective
+from tdilp.instance import check_feasible, evaluate_objective, max_abs_coefficient
 from tdilp.oracle import brute_force_ilp, brute_three_coloring
 from tdilp.reductions import reduce_three_coloring
-from tdilp.solver import _crt, bounded_search, detect_unbounded
+from tdilp.solver import _crt, _propagate, _SearchProgram, bounded_search, detect_unbounded
 from tdilp.structure import ROOT
 
 from conftest import complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
@@ -32,14 +35,69 @@ def _parse(text):
     return parse_instance(text)
 
 
+def _bench_workloads():
+    """bench/workloads.py, loaded by path: its exact recession-ray test
+    (Fourier-Motzkin over the rationals) is the reference for unbounded."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HAS_RECESSION_RAY = _bench_workloads().has_recession_ray
+
+
 def test_solution_bound_values():
+    # the smaller of n * (m*a)^(2m+1) and (n+1) * (isqrt(min(prod_rows
+    # |r|^2, prod_cols |c|^2)) + 1) over the nonzero rows and columns of [A b]
     ins = _parse("max: x\nx <= 1\n")
-    assert solution_bound(ins).radius == 1  # 1 * (1*1)^3
-    ins = _parse("max: x\nx <= 5\n")
-    # a = 5 from the rhs, B = 1 * 5^3
-    assert solution_bound(ins).radius == 125
+    assert solution_bound(ins).radius == 1  # 1 * (1*1)^3 against 2 * (1 + 1)
+    # rows [1 5]: 26; columns 1 and 25: 25; so 2 * (5 + 1), not 1 * 5^3
+    assert solution_bound(_parse("max: x\nx <= 5\n")).radius == 12
+    # columns: x 3, b 25 + 25 + 16: 2 * (isqrt(198) + 1)
+    assert solution_bound(_parse("max: x\nx <= 5\n-x <= 5\nx <= 4\n")).radius == 30
+    # rows 4 + 4 + 4 = 12 beat columns 4 * 4 * 4: 3 * (isqrt(12) + 1)
+    assert solution_bound(_parse("max: x\n2 x + 2 y <= 2\n")).radius == 12
     # no constraints: falls back to the minimum box
     assert solution_bound(_parse("max: x\n")).radius == 1
+
+
+def _papadimitriou_bound(instance):
+    """The radius before the Hadamard bound joined it."""
+    n, m = instance.n_variables, instance.n_constraints
+    a = max(max_abs_coefficient(instance), 1)
+    return BoxBound(max(1, n * (m * a) ** (2 * m + 1)))
+
+
+@st.composite
+def free_rows(draw):
+    """1-4 rows over 1-2 unboxed variables, so verdicts include unbounded.
+    Drawn over 1-3 variables, 9 of 500 such instances ran past 5 s under
+    the old radius; over 1-2, every draw finishes in milliseconds."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    b = InstanceBuilder()
+    names = [b.var(f"v{i}") for i in range(n)]
+    coefficient = st.integers(min_value=-2, max_value=2)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        coeffs = {name: draw(coefficient) for name in names}
+        if all(c == 0 for c in coeffs.values()):
+            coeffs[names[0]] = 1
+        b.add_le(coeffs, draw(st.integers(min_value=-4, max_value=4)))
+    b.set_objective({name: draw(coefficient) for name in names})
+    return b.build()
+
+
+@given(free_rows())
+@settings(max_examples=150, deadline=None)
+def test_hadamard_radius_keeps_verdicts_and_values(ins):
+    new = solve_core(ins)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tdilp.solver, "solution_bound", _papadimitriou_bound)
+        old = solve_core(ins)
+    assert (new.status, new.value) == (old.status, old.value)
+    if new.status != "infeasible" and not ins.objective.is_zero():
+        assert (new.status == "unbounded") == HAS_RECESSION_RAY(ins)
 
 
 def test_box_bound_validation():
@@ -119,7 +177,7 @@ def test_bounded_search_within_explicit_box():
 
 def test_user_bound_semantics():
     ins = _parse("max: x\nx <= 5\n")
-    # certified radius is 125; a too-small box that still contains the
+    # certified radius is 12; a too-small box that still contains the
     # optimum stays optimal
     assert solve_core(ins, bound=5).value == 5
     # a box that misses every feasible point of a feasible instance is
@@ -382,10 +440,11 @@ def test_bounded_search_joins_two_moduli(monkeypatch):
 
 
 def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
-    # max z <= 5 over 18 pairwise distinct caps a_i >= z: no twins, and a
-    # 730-bit certified radius that a per-bit search would pay per variable
+    # max z <= 5 over 18 pairwise distinct caps a_i >= z of about 10^200: no
+    # twins, and a 682-bit certified radius that a per-bit search would pay
+    # per variable
     propagate_calls(200)
-    caps = [4 + i for i in range(1, 19)]
+    caps = [10**200 + i for i in range(1, 19)]
     random.Random(18).shuffle(caps)
     b = InstanceBuilder()
     b.set_objective({"z": 1})
@@ -394,16 +453,69 @@ def test_distinct_star_search_ignores_the_radius_bit_length(propagate_calls):
         b.add_le({"z": 1, f"a{i:03d}": -1}, 0)
         b.add_le({f"a{i:03d}": 1}, cap)
     outcome, info = solve_pipeline(b.build())
-    assert solution_bound(info.kernel).radius.bit_length() == 730
+    assert solution_bound(info.kernel).radius.bit_length() == 682
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 19)
 
 
 def test_deep_twin_path_kernel_solves(propagate_calls):
-    # two identical 150-variable paths beside the objective; the kernel
-    # keeps one path, and the search fixes each link in one endpoint node
-    propagate_calls(200)
-    outcome = solve(deep_twin_paths(150))
-    assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 151)
+    # two identical 1,100-variable paths beside the objective; the kernel
+    # keeps one path, and the search fixes each link in one endpoint node,
+    # whose propagation reads only the rows of the link it fixed
+    propagate_calls(1200)
+    outcome = solve(deep_twin_paths(1100))
+    assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 5, 1101)
+
+
+# unbounded (ray (0, -1, 1, 0)); the same text as bench/test_checker.py's
+STALL_REPRODUCER = """max: x0 + x2
+-2 x0 + x1 <= 1
+-2 x0 - 2 x2 - 2 x3 <= -1
+-x0 + 2 x1 <= 5
+x0 + 2 x1 + 2 x2 <= -1
+x0 - 2 x1 - 2 x2 <= -1
+"""
+
+
+def test_stall_reproducer_is_unbounded(propagate_calls):
+    # under the old 54-bit radius the first feasibility dive ran for minutes;
+    # the Hadamard radius is 2,235
+    counted = propagate_calls(600)
+    ins = _parse(STALL_REPRODUCER)
+    assert solution_bound(ins).radius == 2235
+    assert solve(ins).status == "unbounded"
+    assert len(counted) == 534
+
+
+@given(box_programs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_seeded_propagation_reaches_the_full_queue_fixpoint(case, data):
+    # a child that differs from its parent's fixpoint only in x_j reaches the
+    # same fixpoint from the rows that read x_j as from every row
+    ins, _ = case
+    program = _SearchProgram(ins)
+    box = data.draw(st.integers(min_value=1, max_value=20))
+    threshold = data.draw(st.none() | st.integers(min_value=-6, max_value=6))
+    cut_rhs = None if threshold is None else (-threshold) // program.cut_gcd
+    lo, hi, classes = [-box] * program.n, [box] * program.n, {}
+    assume(_propagate(program, lo, hi, classes, cut_rhs) is True)
+    unfixed = [j for j in range(program.n) if lo[j] < hi[j]]
+    assume(unfixed)
+    j = data.draw(st.sampled_from(unfixed))
+    a = data.draw(st.integers(min_value=lo[j], max_value=hi[j]))
+    b = data.draw(st.integers(min_value=a, max_value=hi[j]))
+    r, m = classes.get(j, (0, 1))
+    a, b = a + (r - a) % m, b - (b - r) % m
+    assume(a <= b)
+    ends = []
+    for branched in (j, None):
+        child = (list(lo), list(hi), dict(classes))
+        child[0][j], child[1][j] = a, b
+        ends.append((_propagate(program, *child, cut_rhs, branched=branched), child))
+    (seeded, seeded_state), (full, full_state) = ends
+    assume(seeded is not False and full is not False)  # neither hit the cap
+    assert seeded == full
+    if seeded:
+        assert seeded_state == full_state
 
 
 @pytest.mark.parametrize("graph, calls", [
