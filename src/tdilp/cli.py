@@ -30,7 +30,9 @@ from .structure import (
     StructureError,
     TreedepthDecomposition,
     build_primal_graph,
+    compute_treedepth_exact,
     decompose,
+    dfs_treedepth_heuristic,
     parse_graph_file,
     verify_tree_decomposition,
     verify_treedepth_decomposition,
@@ -43,6 +45,9 @@ NO = 1
 USAGE = 2
 RESOURCE = 3
 INTERNAL = 4
+
+# analyze reports exact treedepth up to this many primal vertices; no solve computes it
+EXACT_TD_VERTICES = 12
 
 
 def _read(path: str) -> str:
@@ -81,10 +86,11 @@ def _cmd_analyze(args) -> int:
     print(f"ell: {max_abs_coefficient(instance)}")
     components = len(graph.connected_components())
     print(f"primal graph: {graph.n} vertices, {graph.n_edges} edges, {components} components")
-    decomposition, mode = decompose(instance)
-    if mode == "exact":
+    if graph.n <= EXACT_TD_VERTICES:
+        decomposition = compute_treedepth_exact(graph)[1]
         print(f"treedepth: {decomposition.height} (exact)")
     else:
+        decomposition = dfs_treedepth_heuristic(graph)
         print(f"treedepth: <= {decomposition.height} (dfs heuristic)")
     if args.witness_out:
         Path(args.witness_out).write_text(witness_to_json(decomposition), encoding="utf-8")

@@ -345,11 +345,11 @@ def _propagate(
 
 
 def _pick_branch_var(
-    program: _SearchProgram, lo: list[int], hi: list[int], widest_last: bool, start: int
+    program: _SearchProgram, lo: list[int], hi: list[int], min_domain_branching: bool, start: int
 ) -> int | None:
-    """The narrowest unfixed variable under widest_last, else the lowest-id
-    one; every variable below start is known to be fixed."""
-    if widest_last:
+    """The narrowest unfixed variable under min_domain_branching, else the
+    lowest-id one; every variable below start is known to be fixed."""
+    if min_domain_branching:
         best_j, best_w = None, None
         for j in range(program.n):
             w = hi[j] - lo[j]
@@ -621,7 +621,7 @@ def solve_core(
 
 
 class PipelineInfo(Record):
-    """Side facts about a solve, for reporting."""
+    """Side facts about a solve, for reporting; td_mode is "given" or "dfs"."""
 
     __slots__ = ("td_mode", "decomposition", "kernel", "trace")
 
@@ -646,8 +646,8 @@ def solve_pipeline(
     propagate: bool = False,
     bound: int | None = None,
 ) -> tuple[SolveOutcome, PipelineInfo]:
-    """kernelize -> core solve -> lift, with the decomposition made or
-    checked by structure.decompose."""
+    """kernelize -> core solve -> lift, with the decomposition checked
+    ("given") or made as the DFS forest ("dfs") by structure.decompose."""
     decomposition, td_mode = decompose(instance, decomposition)
 
     if use_kernel:

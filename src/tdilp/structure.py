@@ -159,13 +159,11 @@ class TreedepthDecomposition:
         return tuple(reversed(path))
 
     def is_ancestor(self, a: int, d: int) -> bool:
-        """True iff a == d or a lies on d's root path."""
+        """True iff a == d or a lies on d's root path, in depth[d] - depth[a] steps."""
         u = d
-        while u != ROOT:
-            if u == a:
-                return True
+        for _ in range(self._depth[d] - self._depth[a]):
             u = self.parent[u]
-        return False
+        return u == a
 
     def drop_nodes(self, gone: Iterable[int]) -> "TreedepthDecomposition":
         """Remove a union of whole subtrees; survivors keep their parents."""
@@ -344,10 +342,6 @@ def verify_treedepth_decomposition(graph: Graph, decomposition: TreedepthDecompo
     return True
 
 
-# primal graphs up to this many vertices get exact treedepth, larger ones DFS
-EXACT_TD_VERTICES = 12
-
-
 def decompose(
     instance: IlpInstance,
     witness: TreedepthDecomposition | TreeDecompositionWitness | None = None,
@@ -355,8 +349,8 @@ def decompose(
     """The decomposition a solve uses, with its mode.
 
     A supplied witness must be a treedepth decomposition of the primal
-    graph (mode "given"); without one, small graphs get exact treedepth
-    ("exact") and larger ones the DFS heuristic ("dfs").
+    graph (mode "given"); without one it is the DFS forest ("dfs"), since
+    the kernel is sound along any valid decomposition.
     """
     graph = build_primal_graph(instance)
     if witness is not None:
@@ -365,8 +359,6 @@ def decompose(
         if not verify_treedepth_decomposition(graph, witness):
             raise StructureError("supplied decomposition misses a primal edge")
         return witness, "given"
-    if graph.n <= EXACT_TD_VERTICES:
-        return compute_treedepth_exact(graph)[1], "exact"
     return dfs_treedepth_heuristic(graph), "dfs"
 
 

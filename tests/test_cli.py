@@ -44,6 +44,17 @@ def test_analyze(two_blocks, capsys):
     assert "treedepth: 2 (exact)" in out
 
 
+@pytest.mark.parametrize("n, line", [
+    (12, "treedepth: 4 (exact)\n"),  # ceil(log2(12 + 1))
+    (13, "treedepth: <= 12 (dfs heuristic)\n"),  # DFS from x1 walks to x12
+])
+def test_analyze_reports_exact_treedepth_up_to_twelve_vertices(tmp_path, capsys, n, line):
+    f = tmp_path / "path.ilp"
+    f.write_text("max: 0\n" + "".join(f"x{i} - x{i + 1} <= 0\n" for i in range(n - 1)))
+    assert run(["analyze", str(f)]) == 0
+    assert capsys.readouterr().out.endswith(line)
+
+
 def test_analyze_writes_witness(two_blocks, tmp_path, capsys):
     w = tmp_path / "witness.json"
     assert run(["analyze", two_blocks, "--witness-out", str(w)]) == 0

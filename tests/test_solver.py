@@ -26,7 +26,7 @@ from tdilp.instance import check_feasible, evaluate_objective, max_abs_coefficie
 from tdilp.oracle import brute_force_ilp, brute_three_coloring
 from tdilp.reductions import reduce_three_coloring
 from tdilp.solver import _crt, _propagate, _SearchProgram, bounded_search, detect_unbounded
-from tdilp.structure import ROOT
+from tdilp.structure import ROOT, build_primal_graph, compute_treedepth_exact
 
 from conftest import complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
 
@@ -368,6 +368,50 @@ def test_pipeline_equals_core_on_boxed_instances(ins):
         assert piped.value == core.value
         assert check_feasible(ins, piped.assignment)
         assert evaluate_objective(ins, piped.assignment) == core.value
+
+
+@st.composite
+def small_block_instances(draw):
+    """A hub z beside 1-5 blocks of one or two boxed variables, each block
+    drawn from at most two shapes so that twins are common, plus up to two
+    rows over any variables: 2-11 variables in all."""
+    b = InstanceBuilder()
+    b.add_le({"z": 1}, draw(st.integers(min_value=0, max_value=6)))
+    if draw(st.booleans()):
+        b.add_ge({"z": 1}, -2)
+    small = st.integers(min_value=-2, max_value=2)
+    shape = st.tuples(st.integers(1, 2), st.integers(0, 3), st.integers(-1, 1))
+    shapes = draw(st.lists(shape, min_size=1, max_size=2))
+    names = ["z"]
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        size, cap, link = draw(st.sampled_from(shapes))
+        block = [f"b{i}_{k}" for k in range(size)]
+        for name in block:
+            b.add_le({name: 1}, cap)
+            b.add_ge({name: 1}, 0)
+        b.add_le({"z": 1, block[0]: -1}, link)
+        if size == 2:
+            b.add_le({block[0]: 1, block[1]: 1}, cap)
+        names += block
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        b.add_le({u: draw(small), v: draw(small) or 1}, draw(st.integers(-2, 4)))
+    b.set_objective({"z": draw(small), draw(st.sampled_from(names)): draw(small)})
+    return b.build()
+
+
+@given(small_block_instances())
+@settings(max_examples=80, deadline=None)
+def test_exact_treedepth_changes_no_solve(ins):
+    # a solve takes the DFS forest; an optimal decomposition must give it
+    # the same verdict and value, and both certificates must hold
+    dfs, info = solve_pipeline(ins)
+    exact, _ = solve_pipeline(ins, compute_treedepth_exact(build_primal_graph(ins))[1])
+    assert info.td_mode == "dfs"
+    assert (dfs.status, dfs.value) == (exact.status, exact.value)
+    for outcome in (dfs, exact):
+        if outcome.assignment is not None:
+            assert check_feasible(ins, outcome.assignment)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tdilp.structure
 from conftest import complete_graph, cycle_graph, path_graph, petersen
 from tdilp.instance import parse_instance
 from tdilp.structure import (
@@ -52,6 +53,25 @@ def test_decomposition_shape():
     assert d.subtree(1) == (1, 3)
     assert d.path_to_root(3) == (0, 1, 3)
     assert d.is_ancestor(0, 3) and not d.is_ancestor(2, 3)
+
+
+@st.composite
+def random_forests(draw):
+    """Each node hangs below ROOT or an earlier node of a shuffled order,
+    so ids say nothing about depth."""
+    order = draw(st.permutations(range(draw(st.integers(min_value=1, max_value=30)))))
+    parent = {}
+    for i, v in enumerate(order):
+        parent[v] = ROOT if i == 0 else draw(st.sampled_from((ROOT, *order[:i])))
+    return TreedepthDecomposition(parent)
+
+
+@given(random_forests())
+@settings(max_examples=100, deadline=None)
+def test_is_ancestor_matches_root_path_membership(d):
+    for a in d.nodes():
+        for v in d.nodes():
+            assert d.is_ancestor(a, v) == (a in d.path_to_root(v))
 
 
 def test_decomposition_rejects_cycles_and_orphans():
@@ -109,17 +129,18 @@ def _path_instance(n: int):
     return parse_instance("max: 0\n" + "".join(f"x{i} - x{i + 1} <= 0\n" for i in range(n - 1)))
 
 
-def test_decompose_picks_exact_up_to_twelve_vertices_then_dfs():
-    for n, mode in [(2, "exact"), (12, "exact"), (13, "dfs")]:
+def test_decompose_takes_the_dfs_forest_at_every_size(monkeypatch):
+    def no_exact(*args, **kwargs):
+        raise AssertionError("decompose ran the exact treedepth search")
+
+    monkeypatch.setattr(tdilp.structure, "compute_treedepth_exact", no_exact)
+    for n in (2, 12, 13):
         ins = _path_instance(n)
         graph = build_primal_graph(ins)
-        dec, got = decompose(ins)
-        assert got == mode
+        dec, mode = decompose(ins)
+        assert mode == "dfs"
+        assert dec == dfs_treedepth_heuristic(graph)
         assert verify_treedepth_decomposition(graph, dec)
-        if mode == "exact":
-            assert dec == compute_treedepth_exact(graph)[1]
-        else:
-            assert dec == dfs_treedepth_heuristic(graph)
 
 
 def test_decompose_checks_a_given_witness():
