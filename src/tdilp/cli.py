@@ -100,13 +100,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.file)
-    outcome, _ = solve_pipeline(
-        instance,
-        _load_witness(args.td),
-        use_kernel=not args.no_kernel,
-        propagate=args.propagate,
-        bound=args.bound,
-    )
+    witness = _load_witness(args.td)
+    outcome, _ = solve_pipeline(instance, witness, propagate=args.propagate, bound=args.bound)
     print(outcome.to_json(name_of=instance.name_of))
     return _outcome_exit(outcome)
 
@@ -277,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--td", help="treedepth witness JSON to use instead of computing one")
     p.add_argument("--bound", type=_positive, help="override the certified search box radius")
-    p.add_argument("--no-kernel", action="store_true", help="skip subtree pruning")
     p.add_argument("--propagate", action="store_true", help="presolve rewrites + domain-driven branching")
     p.set_defaults(handler=_cmd_solve)
 

@@ -22,6 +22,7 @@ variables alive that appear in no constraint.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Mapping
 
 
@@ -358,7 +359,7 @@ def _parse_linexpr(text: str, line_no: int, declare) -> tuple[dict[str, int], in
         if not expect_term:
             raise IlpSyntaxError(f"expected '+' or '-' before {tok!r}", line_no)
         if tok.isdigit():
-            coeff = sign * int(tok)
+            coeff = sign * _parse_int(tok, line_no)
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
@@ -385,10 +386,15 @@ def _parse_linexpr(text: str, line_no: int, declare) -> tuple[dict[str, int], in
 
 
 def _parse_int(text: str, line_no: int) -> int:
+    text = text.strip()
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError:
-        raise IlpSyntaxError(f"expected an integer, got {text.strip()!r}", line_no) from None
+        # int() checks the int-string limit before the syntax
+        digits = sum(ch.isdigit() for ch in text)
+        if digits > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+            raise IlpSyntaxError(f"integer of {digits} digits is over the int-string limit", line_no) from None
+        raise IlpSyntaxError(f"expected an integer, got {text!r}", line_no) from None
 
 
 _REL_RE = re.compile(r"(<=|>=|==|=|<|>)")

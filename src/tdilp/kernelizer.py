@@ -549,6 +549,13 @@ def _json_id(value) -> int:
     return value
 
 
+def _json_key(key: str) -> int:
+    # int() would read "1_0" as 10, " 0" as 0 and "\u0663" as 3
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise KernelError(f"trace id key {key!r} is not a canonical integer")
+    return int(key)
+
+
 def trace_from_json(text: str) -> tuple[TraceStep, ...]:
     try:
         doc = json.loads(text)
@@ -562,8 +569,8 @@ def trace_from_json(text: str) -> tuple[TraceStep, ...]:
             step = TraceStep(
                 omitted=tuple(_json_id(v) for v in item["omitted"]),
                 keeper_root=_json_id(item["keeper_root"]),
-                delta={int(src): _json_id(dst) for src, dst in item["delta"].items()},
-                names={int(v): str(name) for v, name in item.get("names", {}).items()},
+                delta={_json_key(src): _json_id(dst) for src, dst in item["delta"].items()},
+                names={_json_key(v): str(name) for v, name in item.get("names", {}).items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise KernelError(f"malformed trace step: {exc}") from None

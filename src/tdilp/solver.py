@@ -642,19 +642,13 @@ def solve_pipeline(
     instance: IlpInstance,
     decomposition: TreedepthDecomposition | None = None,
     *,
-    use_kernel: bool = True,
     propagate: bool = False,
     bound: int | None = None,
 ) -> tuple[SolveOutcome, PipelineInfo]:
-    """kernelize -> core solve -> lift, with the decomposition checked
-    ("given") or made as the DFS forest ("dfs") by structure.decompose."""
+    """kernelize -> core solve -> lift, along the given decomposition
+    ("given") or the DFS forest ("dfs"); kernelize checks it."""
     decomposition, td_mode = decompose(instance, decomposition)
-
-    if use_kernel:
-        kernel, _, trace = kernelize(instance, decomposition)
-    else:
-        kernel, trace = instance, ()
-
+    kernel, _, trace = kernelize(instance, decomposition)
     core = solve_core(kernel, propagate=propagate, bound=bound)
 
     lifted = core.assignment

@@ -348,18 +348,15 @@ def decompose(
 ) -> tuple[TreedepthDecomposition, str]:
     """The decomposition a solve uses, with its mode.
 
-    A supplied witness must be a treedepth decomposition of the primal
-    graph (mode "given"); without one it is the DFS forest ("dfs"), since
-    the kernel is sound along any valid decomposition.
+    A supplied witness must be a treedepth decomposition (mode "given");
+    without one it is the DFS forest of the primal graph ("dfs"), since the
+    kernel is sound along any valid decomposition.  kernelize checks it.
     """
-    graph = build_primal_graph(instance)
     if witness is not None:
         if not isinstance(witness, TreedepthDecomposition):
             raise StructureError("a treedepth witness is required")
-        if not verify_treedepth_decomposition(graph, witness):
-            raise StructureError("supplied decomposition misses a primal edge")
         return witness, "given"
-    return dfs_treedepth_heuristic(graph), "dfs"
+    return dfs_treedepth_heuristic(build_primal_graph(instance)), "dfs"
 
 
 # ---------------------------------------------------------------------------

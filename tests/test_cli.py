@@ -178,9 +178,14 @@ KERNEL_SOLUTION = {"status": "optimal", "value": 4, "assignment": {"a1": 4, "z":
     ([{**GOOD_STEP, "omitted": [True]}], KERNEL_SOLUTION),  # would read as id 1
     ([{**GOOD_STEP, "keeper_root": 0.9}], KERNEL_SOLUTION),  # would read as id 0
     ([{**GOOD_STEP, "delta": {"0": 1.7}}], KERNEL_SOLUTION),  # would read as id 1
+    # id keys that int() reads as 10, 0 and 3
+    ([{**GOOD_STEP, "delta": {"1_0": 1}, "names": {**GOOD_STEP["names"], "10": "z"}}], KERNEL_SOLUTION),
+    ([{**GOOD_STEP, "delta": {" 0": 1}}], KERNEL_SOLUTION),
+    ([{**GOOD_STEP, "delta": {"\u0663": 1}, "names": {**GOOD_STEP["names"], "3": "z"}}], KERNEL_SOLUTION),
 ], ids=[
     "delta-not-object", "unnamed-id", "solution-not-object",
     "omitted-bool", "keeper-root-float", "delta-float",
+    "key-underscore", "key-space", "key-arabic-digit",
 ])
 def test_lift_rejects_malformed_input(tmp_path, capsys, trace, solution):
     trace_file = tmp_path / "trace.json"

@@ -2,9 +2,10 @@
 
 import copy
 import pickle
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdilp.instance import (
     IlpError,
@@ -85,6 +86,22 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(IlpSyntaxError) as e:  # every line is scanned before rows are added
         parse_instance("max: x\n0 x <= 5\nx <=\n")
     assert e.value.line == 3
+
+
+def test_integer_over_the_int_string_limit_is_a_syntax_error():
+    # outside cli.run, which lifts it, the default limit of 4,300 digits holds
+    huge = "7" * 5_000
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4_300)
+    try:
+        for text in (f"max: x\n{huge} x <= 1\n", f"max: x\nx <= {huge}\n"):
+            with pytest.raises(IlpSyntaxError) as e:
+                parse_instance(text)
+            assert e.value.line == 2
+            assert "5000 digits" in str(e.value)
+            assert huge not in str(e.value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_serialize_objective_first_and_sorted_rows():
@@ -315,3 +332,37 @@ def test_parser_builds_like_builder(objective, rows):
     assert parsed.constraints == built.constraints
     assert parsed.objective == built.objective
     assert all(parsed.id_of(v.name) == built.id_of(v.name) for v in built.variables)
+
+
+# pieces of the text format, and of what it is not: every relation, signs,
+# '*', comments, names valid and not, digits no ASCII regex would take, and
+# digit runs on both sides of the int-string limit
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(
+        ["<=", ">=", "=", "==", "<", ">", "+", "-", "*", "# note", "#", "max:", "max", ":",
+         "x", "y2", "_z'", "2x", "1_0", "\u0663", "\u00e9", "\u00b2", "\t"]
+    ),
+    st.one_of(st.integers(1, 12), st.integers(4_290, 5_000)).map(lambda n: "9" * n),
+)
+
+
+@st.composite
+def ilp_texts(draw):
+    pieces = draw(st.lists(_TEXT_PIECES, max_size=12))
+    seps = draw(st.lists(st.sampled_from(["", " ", "\n"]), min_size=len(pieces), max_size=len(pieces)))
+    head = draw(st.sampled_from(["", "max: ", "max: x\n"]))
+    return head + "".join(piece + sep for piece, sep in zip(pieces, seps))
+
+
+@settings(max_examples=300)
+@given(ilp_texts())
+def test_any_text_parses_or_raises_a_syntax_error(text):
+    # an earlier cli.run in this process may have lifted the limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4_300)
+    try:
+        parse_instance(text)
+    except IlpSyntaxError:
+        pass
+    finally:
+        sys.set_int_max_str_digits(old)

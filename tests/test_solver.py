@@ -21,7 +21,9 @@ from tdilp import (
     solve_core,
     solve_pipeline,
 )
+import tdilp.kernelizer
 import tdilp.solver
+import tdilp.structure
 from tdilp.instance import check_feasible, evaluate_objective, max_abs_coefficient
 from tdilp.oracle import brute_force_ilp, brute_three_coloring
 from tdilp.reductions import reduce_three_coloring
@@ -254,14 +256,42 @@ def test_pipeline_rejects_bad_decomposition(parent):
         solve_pipeline(ins, TreedepthDecomposition(parent))
 
 
+def test_decomposition_is_checked_once_per_solve(monkeypatch):
+    # decompose picks the decomposition and kernelize is its one check:
+    # a given witness costs one primal graph and one verify, the DFS forest
+    # one graph to build it and one for kernelize's check
+    calls = {"build": 0, "verify": 0}
+    real_build = tdilp.structure.build_primal_graph
+    real_verify = tdilp.structure.verify_treedepth_decomposition
+
+    def build(instance):
+        calls["build"] += 1
+        return real_build(instance)
+
+    def verify(graph, decomposition):
+        calls["verify"] += 1
+        return real_verify(graph, decomposition)
+
+    for module in (tdilp.structure, tdilp.kernelizer):
+        monkeypatch.setattr(module, "build_primal_graph", build)
+        monkeypatch.setattr(module, "verify_treedepth_decomposition", verify)
+    ins = _parse("max: z\nz - a1 <= 0\na1 <= 4\nz - a2 <= 0\na2 <= 4\n")
+    witness = TreedepthDecomposition({2: ROOT, 0: 2, 1: 2})
+    assert solve_pipeline(ins, witness)[1].td_mode == "given"
+    assert calls == {"build": 1, "verify": 1}
+    calls.update(build=0, verify=0)
+    assert solve_pipeline(ins)[1].td_mode == "dfs"
+    assert calls == {"build": 2, "verify": 1}
+
+
 def test_solve_with_and_without_kernel_agree():
     ins = _parse("max: z\nz - a1 <= 0\na1 <= 4\nz - a2 <= 0\na2 <= 4\n")
     with_kernel = solve(ins)
-    without = solve(ins, use_kernel=False)
+    without = solve_core(ins)
     assert with_kernel.status == without.status == "optimal"
     assert with_kernel.value == without.value == 4
     assert with_kernel.assignment == without.assignment
-    assert without.kernel_vars == 3
+    assert with_kernel.kernel_vars == 2
 
 
 def test_certificates_match_oracle_order():

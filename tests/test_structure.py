@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import tdilp.structure
 from conftest import complete_graph, cycle_graph, path_graph, petersen
 from tdilp.instance import parse_instance
+from tdilp.kernelizer import KernelError
+from tdilp.solver import solve_pipeline
 from tdilp.structure import (
     ROOT,
     Graph,
@@ -144,15 +146,18 @@ def test_decompose_takes_the_dfs_forest_at_every_size(monkeypatch):
 
 
 def test_decompose_checks_a_given_witness():
+    # decompose checks only the witness's kind; kernelize checks the forest
     ins = _path_instance(3)  # ids by name: x0 - x1 - x2
     good = TreedepthDecomposition({1: ROOT, 0: 1, 2: 1})
     assert decompose(ins, good) == (good, "given")
     bags = TreeDecompositionWitness({0: ROOT}, {0: [0, 1, 2]})
+    with pytest.raises(StructureError):
+        decompose(ins, bags)
     not_vertical = TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT})
     wrong_nodes = TreedepthDecomposition({1: ROOT, 0: 1})
-    for witness in (bags, not_vertical, wrong_nodes):
-        with pytest.raises(StructureError):
-            decompose(ins, witness)
+    for witness in (not_vertical, wrong_nodes):
+        with pytest.raises(KernelError):
+            solve_pipeline(ins, witness)
 
 
 def test_primal_graph_co_occurrence_and_objective_clique():
