@@ -23,38 +23,51 @@ from .instance import (
     parse_instance,
     serialize_instance,
 )
-from .kernelizer import (
-    Astronomical,
-    EquivalenceWitness,
-    KernelBounds,
-    KernelError,
-    TraceStep,
-    compute_bounds,
-    format_bound,
-    kernelize,
-    lift_solution,
-    trace_from_json,
-    trace_to_json,
-)
+from .kernelizer import EquivalenceWitness, KernelError, TraceStep, kernelize, lift_solution
 from .outcome import SolveOutcome
 from .solver import BoxBound, solution_bound, solve, solve_core, solve_pipeline
 from .structure import (
     Graph,
     StructureError,
     TreedepthDecomposition,
-    TreeDecompositionWitness,
     build_primal_graph,
     compute_treedepth_exact,
     decompose,
     dfs_treedepth_heuristic,
-    parse_graph_file,
-    serialize_graph,
-    treedepth_to_tree_decomposition,
-    verify_tree_decomposition,
     verify_treedepth_decomposition,
     witness_from_json,
-    witness_to_json,
 )
+
+# Names off the solve path, by module.  They load on first access (PEP 562),
+# so that `import tdilp` and every `tdilp solve` compile neither module.
+_LAZY = {
+    "Astronomical": "bounds",
+    "KernelBounds": "bounds",
+    "compute_bounds": "bounds",
+    "format_bound": "bounds",
+    "TreeDecompositionWitness": "formats",
+    "parse_graph_file": "formats",
+    "serialize_graph": "formats",
+    "trace_from_json": "formats",
+    "trace_to_json": "formats",
+    "treedepth_to_tree_decomposition": "formats",
+    "verify_tree_decomposition": "formats",
+    "witness_to_json": "formats",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "Astronomical",

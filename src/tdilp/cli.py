@@ -6,48 +6,29 @@ instance, failed witness, "false" oracle answer), 2 usage or input
 error, 3 resource cap hit (a user-shrunk search box came up empty or its
 maximum is beaten outside it, oracle budget), 4 internal fault (a failed
 self-check or any other unexpected exception).
+
+The solve command's handler and grammar are here.  The grammar of every
+command and the other handlers are in ``commands``, which loads only when
+another command runs: each ``tdilp solve`` is a fresh process that
+compiles what it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .instance import IlpError, IlpInstance, max_abs_coefficient, parse_instance, serialize_instance
-from .kernelizer import (
-    compute_bounds,
-    format_bound,
-    kernelize,
-    lift_solution,
-    trace_from_json,
-    trace_to_json,
-)
+from .instance import INT_RE, IlpError, IlpInstance, parse_instance
 from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, SolveOutcome
 from .solver import solve_pipeline
-from .structure import (
-    StructureError,
-    TreedepthDecomposition,
-    build_primal_graph,
-    compute_treedepth_exact,
-    decompose,
-    dfs_treedepth_heuristic,
-    parse_graph_file,
-    verify_tree_decomposition,
-    verify_treedepth_decomposition,
-    witness_from_json,
-    witness_to_json,
-)
+from .structure import witness_from_json
 
 OK = 0
 NO = 1
 USAGE = 2
 RESOURCE = 3
 INTERNAL = 4
-
-# analyze reports exact treedepth up to this many primal vertices; no solve computes it
-EXACT_TD_VERTICES = 12
 
 
 def _read(path: str) -> str:
@@ -56,10 +37,6 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str) -> IlpInstance:
     return parse_instance(_read(path))
-
-
-def _load_graph(path: str):
-    return parse_graph_file(_read(path))
 
 
 def _load_witness(path: str | None):
@@ -75,27 +52,7 @@ def _outcome_exit(outcome: SolveOutcome) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_analyze(args) -> int:
-    instance = _load_instance(args.file)
-    graph = build_primal_graph(instance)
-    print(f"variables: {instance.n_variables}")
-    print(f"constraints: {instance.n_constraints}")
-    print(f"ell: {max_abs_coefficient(instance)}")
-    components = len(graph.connected_components())
-    print(f"primal graph: {graph.n} vertices, {graph.n_edges} edges, {components} components")
-    if graph.n <= EXACT_TD_VERTICES:
-        decomposition = compute_treedepth_exact(graph)[1]
-        print(f"treedepth: {decomposition.height} (exact)")
-    else:
-        decomposition = dfs_treedepth_heuristic(graph)
-        print(f"treedepth: <= {decomposition.height} (dfs heuristic)")
-    if args.witness_out:
-        Path(args.witness_out).write_text(witness_to_json(decomposition), encoding="utf-8")
-        print(f"witness: {args.witness_out}")
-    return OK
+# the solve command
 
 
 def _cmd_solve(args) -> int:
@@ -106,231 +63,50 @@ def _cmd_solve(args) -> int:
     return _outcome_exit(outcome)
 
 
-def _cmd_kernelize(args) -> int:
-    instance = _load_instance(args.file)
-    decomposition, _ = decompose(instance, _load_witness(args.td))
-    kernel, _, trace = kernelize(instance, decomposition)
-    Path(args.output).write_text(serialize_instance(kernel), encoding="utf-8")
-    Path(args.trace).write_text(trace_to_json(trace), encoding="utf-8")
-    print(
-        f"kernel: {kernel.n_variables} of {instance.n_variables} variables,"
-        f" {len(trace)} pruning steps"
-    )
-    return OK
-
-
-def _cmd_lift(args) -> int:
-    trace = trace_from_json(_read(args.trace))
-    try:
-        solution = json.loads(_read(args.solution))
-    except RecursionError as exc:
-        raise IlpError(f"solution is not valid JSON: {exc}") from None
-    assignment = solution.get("assignment") if isinstance(solution, dict) else None
-    if not isinstance(assignment, dict):
-        raise IlpError("solution file has no assignment to lift")
-    lifted = lift_solution(trace, assignment, by_name=True)
-    doc = {
-        "status": solution.get("status"),
-        "value": solution.get("value"),
-        "assignment": {name: lifted[name] for name in sorted(lifted)},
-        "kernel_vars": len(assignment),
-        "original_vars": len(lifted),
-    }
-    print(json.dumps(doc, indent=2))
-    return OK
-
-
-def _cmd_generate(args) -> int:
-    # imported here, not at the top: every `tdilp solve` is a fresh process
-    # that would otherwise compile the generators it never runs
-    from .reductions import (
-        SubsetSumInstance,
-        reduce_subset_sum,
-        reduce_three_coloring,
-        reduce_vertex_cover,
-    )
-
-    witness_text = None
-    if args.kind == "vc":
-        instance = reduce_vertex_cover(_load_graph(args.graph), args.k)
-    elif args.kind == "3col":
-        instance, decomposition = reduce_three_coloring(_load_graph(args.graph))
-        witness_text = witness_to_json(decomposition)
-    else:
-        s = SubsetSumInstance(tuple(args.values), args.target)
-        instance, witness = reduce_subset_sum(s)
-        witness_text = witness_to_json(witness)
-    text = serialize_instance(instance)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}: {instance.n_variables} variables, {instance.n_constraints} constraints")
-    else:
-        sys.stdout.write(text)
-    if getattr(args, "witness", None):
-        Path(args.witness).write_text(witness_text, encoding="utf-8")
-        print(f"wrote {args.witness}")
-    return OK
-
-
-def _cmd_verify(args) -> int:
-    instance = _load_instance(args.file)
-    graph = build_primal_graph(instance)
-    witness = witness_from_json(_read(args.witness))
-    if isinstance(witness, TreedepthDecomposition):
-        try:
-            good = verify_treedepth_decomposition(graph, witness)
-        except StructureError as exc:
-            print(f"treedepth witness: INVALID ({exc})")
-            return NO
-        if good:
-            print(f"treedepth witness: valid, height {witness.height}")
-            return OK
-        print("treedepth witness: INVALID (some edge is not vertical)")
-        return NO
-    if verify_tree_decomposition(graph, witness):
-        print(f"treewidth witness: valid, width {witness.width}")
-        return OK
-    print("treewidth witness: INVALID")
-    return NO
-
-
-def _cmd_oracle(args) -> int:
-    # imported here for the same reason as in _cmd_generate
-    from .oracle import (
-        OracleBudgetError,
-        brute_force_ilp,
-        brute_three_coloring,
-        brute_vertex_cover,
-        subset_sum_dp,
-        treedepth_reference,
-    )
-    from .reductions import SubsetSumInstance
-
-    try:
-        if args.oracle == "ilp":
-            instance = _load_instance(args.file)
-            outcome = brute_force_ilp(instance, args.box)
-            print(outcome.to_json(name_of=instance.name_of))
-            return _outcome_exit(outcome)
-        if args.oracle == "subsetsum":
-            verdict = subset_sum_dp(SubsetSumInstance(tuple(args.values), args.target))
-        elif args.oracle == "3col":
-            verdict = brute_three_coloring(_load_graph(args.graph))
-        elif args.oracle == "vc":
-            verdict = brute_vertex_cover(_load_graph(args.graph), args.k)
-        else:  # td
-            print(treedepth_reference(_load_graph(args.graph)))
-            return OK
-    except OracleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE
-    print("true" if verdict else "false")
-    return OK if verdict else NO
-
-
-def _cmd_bounds(args) -> int:
-    bounds = compute_bounds(args.ell, args.k)
-    print(f"ell={bounds.ell} k={bounds.k}")
-    print("i  d_i  e_i")
-    for i in range(bounds.k, 0, -1):
-        print(f"{i}  {format_bound(bounds.d[i])}  {format_bound(bounds.e[i])}")
-    print(f"e_1 = {format_bound(bounds.e[1])}")
-    return OK
-
-
 # ---------------------------------------------------------------------------
 # argument grammar
 
 
+def _int(text: str) -> int:
+    # the grammar of an instance file's right-hand side
+    if not INT_RE.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers") from None
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _command_parser(**subparsers) -> tuple:
+    """The top-level parser and its subcommand action."""
     parser = argparse.ArgumentParser(
         prog="tdilp",
         description="Structure-aware exact ILP toolkit: kernelize, solve, generate.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, parser.add_subparsers(dest="command", required=True, **subparsers)
 
-    p = sub.add_parser("analyze", help="instance and primal-graph statistics")
-    p.add_argument("file")
-    p.add_argument("--witness-out", help="write the computed treedepth witness here")
-    p.set_defaults(handler=_cmd_analyze)
 
+def _add_solve_parser(sub) -> None:
     p = sub.add_parser("solve", help="kernelize, search, lift; prints outcome JSON")
     p.add_argument("file")
     p.add_argument("--td", help="treedepth witness JSON to use instead of computing one")
     p.add_argument("--bound", type=_positive, help="override the certified search box radius")
     p.add_argument("--propagate", action="store_true", help="presolve rewrites + domain-driven branching")
-    p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("kernelize", help="write the pruned instance and its trace")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--td", help="treedepth witness JSON to use instead of computing one")
-    p.set_defaults(handler=_cmd_kernelize)
 
-    p = sub.add_parser("lift", help="replay a trace to extend a kernel solution")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--solution", required=True, help="outcome JSON from solving the kernel")
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("generate", help="emit a hardness-reduction instance")
-    gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("3col", help="prime-encoding 3-coloring instance")
-    g.add_argument("--graph", required=True)
-    g.add_argument("-o", "--output")
-    g.add_argument("--witness", help="write the height-8 treedepth witness here")
-    g = gen.add_parser("vc", help="vertex-cover budget instance")
-    g.add_argument("--graph", required=True)
-    g.add_argument("--k", type=_positive, required=True, help="cover budget")
-    g.add_argument("-o", "--output")
-    g = gen.add_parser("subsetsum", help="doubling-gadget chain instance")
-    g.add_argument("--values", type=_int_list, required=True)
-    g.add_argument("--target", type=_positive, required=True)
-    g.add_argument("-o", "--output")
-    g.add_argument("--witness", help="write the width-2 tree-decomposition witness here")
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("verify", help="check a structural witness against an instance")
-    p.add_argument("file")
-    p.add_argument("--witness", required=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("oracle", help="brute-force references for spot checks")
-    orc = p.add_subparsers(dest="oracle", required=True)
-    o = orc.add_parser("ilp", help="enumerate a box exhaustively")
-    o.add_argument("file")
-    o.add_argument("--box", type=_positive, required=True, help="coordinate radius to sweep")
-    o = orc.add_parser("subsetsum")
-    o.add_argument("--values", type=_int_list, required=True)
-    o.add_argument("--target", type=_positive, required=True)
-    o = orc.add_parser("3col")
-    o.add_argument("--graph", required=True)
-    o = orc.add_parser("vc")
-    o.add_argument("--graph", required=True)
-    o.add_argument("--k", type=_positive, required=True)
-    o = orc.add_parser("td")
-    o.add_argument("--graph", required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("bounds", help="kernel size bounds d_i, e_i for given ell and k")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--k", type=_positive, required=True)
-    p.set_defaults(handler=_cmd_bounds)
-
+def _solve_parser() -> argparse.ArgumentParser:
+    """The grammar of `tdilp solve` alone; commands.build_parser has every
+    command's.  Building all of them took about 3 ms of a cold solve.  The
+    metavar lists every command, so that a usage error prints the usage line
+    of the full grammar."""
+    parser, sub = _command_parser(
+        metavar="{analyze,solve,kernelize,lift,generate,verify,oracle,bounds}"
+    )
+    _add_solve_parser(sub)
     return parser
 
 
@@ -339,14 +115,20 @@ def run(argv: list[str] | None = None) -> int:
     # digits that int <-> str conversion allows by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # the top-level parser takes no option but -h, so a solve's first
+        # argument is "solve"; commands is imported only past this test, so
+        # that a solve never compiles it
+        if argv[:1] == ["solve"]:
+            return _cmd_solve(_solve_parser().parse_args(argv))
+        from .commands import HANDLERS, build_parser
+
+        args = build_parser().parse_args(argv)
+        return HANDLERS[args.command](args)
     except SystemExit as exc:
         # argparse already printed usage or help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except (IlpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
@@ -363,4 +145,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # run as `python -m tdilp.cli`, this module is __main__; register it under
+    # its own name too, so that commands.py imports this copy, not a second
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

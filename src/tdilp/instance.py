@@ -12,8 +12,9 @@ Text format (UTF-8, ``#`` starts a comment):
                             accepted and rewritten into <= rows
 
 A ``linexpr`` is a +/- separated sequence of terms ``<int> <name>`` (the
-coefficient 1 may be dropped, ``2x`` and ``2 x`` both work).  Variables
-are declared implicitly on first use.  A bare integer term is folded
+coefficient 1 may be dropped, ``2x`` and ``2 x`` both work).  An ``<int>``
+is ASCII digits; a right-hand side may carry one leading ``+`` or ``-``.
+Variables are declared implicitly on first use.  A bare integer term is folded
 into the right-hand side.  A zero-coefficient term declares a variable
 without contributing anything; the serializer uses this to keep
 variables alive that appear in no constraint.
@@ -22,7 +23,6 @@ variables alive that appear in no constraint.
 from __future__ import annotations
 
 import re
-import sys
 from typing import Iterable, Mapping
 
 
@@ -47,7 +47,10 @@ class MissingVariableError(IlpError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_']*|[+\-*])")
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_']*|[+\-*])")
+# a signed integer in tdilp's text input (right-hand sides, command-line
+# options); int() alone would also take "1_0" and digits such as "\u0663"
+INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class Record:
@@ -387,14 +390,13 @@ def _parse_linexpr(text: str, line_no: int, declare) -> tuple[dict[str, int], in
 
 def _parse_int(text: str, line_no: int) -> int:
     text = text.strip()
+    if not INT_RE.fullmatch(text):
+        raise IlpSyntaxError(f"expected an integer, got {text!r}", line_no)
     try:
         return int(text)
-    except ValueError:
-        # int() checks the int-string limit before the syntax
-        digits = sum(ch.isdigit() for ch in text)
-        if digits > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
-            raise IlpSyntaxError(f"integer of {digits} digits is over the int-string limit", line_no) from None
-        raise IlpSyntaxError(f"expected an integer, got {text!r}", line_no) from None
+    except ValueError:  # the syntax is checked, so only the int-string limit is left
+        digits = len(text.lstrip("+-"))
+        raise IlpSyntaxError(f"integer of {digits} digits is over the int-string limit", line_no) from None
 
 
 _REL_RE = re.compile(r"(<=|>=|==|=|<|>)")

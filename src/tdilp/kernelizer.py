@@ -14,7 +14,6 @@ then a backtracking bijection search certifies or refutes each pair.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from typing import Iterable, Mapping
 
@@ -373,7 +372,8 @@ def kernelize(
     collapse too.  Within a level, parents go by ascending id.
     The trace is the one that omitting the smallest (keeper, twin) pair
     one at a time until a fixpoint would record; the instance is rebuilt
-    once at the end.
+    once at the end, and when nothing was pruned the given instance and
+    decomposition are returned as the kernel.
     """
     if set(decomposition.parent) != set(instance.ids()):
         raise KernelError("decomposition nodes differ from instance variables")
@@ -398,6 +398,8 @@ def kernelize(
         for kids in sibling_sets
         for witness, gone in pruner.prune(kids)
     )
+    if not steps:
+        return instance, decomposition, steps
     kernel = omit_variables(instance, pruner.gone_vars)
     return kernel, decomposition.drop_nodes(pruner.gone_vars), steps
 
@@ -419,164 +421,3 @@ def lift_solution(
                 raise KernelError(f"trace mismatch: no value for variable {src!r}")
             lifted[dst] = lifted[src]
     return lifted
-
-
-# ---------------------------------------------------------------------------
-# kernel-size bounds
-
-
-MAX_EXACT_BITS = 1_000_000
-NOTE_LIMIT = 80  # characters; a longer note prints as HUGE
-HUGE = "astronomically large"
-
-
-class Astronomical:
-    """Placeholder for an exact integer too large to materialize, kept
-    as a printable note of at most NOTE_LIMIT characters."""
-
-    __slots__ = ("note",)
-
-    def __init__(self, template: str, *operands: "int | Astronomical"):
-        """The note template.format(*operands); an int operand of more
-        than NOTE_LIMIT digits is never converted, its note is HUGE."""
-        texts = []
-        for x in operands:
-            if isinstance(x, Astronomical):
-                texts.append(x.note)
-            elif x < 10**NOTE_LIMIT:
-                texts.append(str(x))
-            else:
-                self.note = HUGE
-                return
-        note = template.format(*texts)
-        self.note = note if len(note) <= NOTE_LIMIT else HUGE
-
-    def __repr__(self):
-        return f"Astronomical({self.note})"
-
-    def __str__(self):
-        return self.note
-
-    def __add__(self, other):
-        return Astronomical("({} + {})", self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return Astronomical("({} * {})", self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return Astronomical("({})^{}", self, exponent)
-
-
-def _pow2(exponent) -> int | Astronomical:
-    """2**exponent, materialized only while it stays printable."""
-    if isinstance(exponent, int) and exponent <= MAX_EXACT_BITS:
-        return 1 << exponent
-    return Astronomical("2^{}", exponent)
-
-
-class KernelBounds(Record):
-    """The worst-case kernel-size ladder for coefficient bound ell and
-    decomposition height k: d_i bounds sibling counts at depth i, e_i
-    bounds subtree sizes; a kernelized tree has at most e_1 variables.
-    """
-
-    __slots__ = ("ell", "k", "d", "e")
-
-    def __init__(
-        self,
-        ell: int,
-        k: int,
-        d: dict[int, int | Astronomical],
-        e: dict[int, int | Astronomical],
-    ):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-
-
-def compute_bounds(ell: int, k: int) -> KernelBounds:
-    """Exact evaluation of the d_i / e_i recurrences, top of the ladder
-    e_k = 1, d_k = 0, then d_i = #classes(i, e_{i+1}) + 1 and
-    e_i = d_i * e_{i+1} + 1 going down to i = 1."""
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    factor = (2 * ell + 1) ** (k + 1)
-    d: dict[int, int | Astronomical] = {k: 0}
-    e: dict[int, int | Astronomical] = {k: 1}
-    for i in range(k - 1, 0, -1):
-        d[i] = _pow2(factor * (e[i + 1] ** i)) + 1
-        e[i] = d[i] * e[i + 1] + 1
-    return KernelBounds(ell=ell, k=k, d=d, e=e)
-
-
-def format_bound(value: int | Astronomical) -> str:
-    """Small ints in decimal, big ones as a power-of-two estimate."""
-    if isinstance(value, int):
-        if value.bit_length() <= 128:
-            return str(value)
-        return f"~2^{value.bit_length() - 1} ({value.bit_length()} bits)"
-    return str(value)
-
-
-# ---------------------------------------------------------------------------
-# trace file format
-
-
-def trace_to_json(trace: tuple[TraceStep, ...]) -> str:
-    doc = [
-        {
-            "omitted": list(step.omitted),
-            "keeper_root": step.keeper_root,
-            "delta": {str(src): dst for src, dst in sorted(step.delta.items())},
-            "names": {str(v): name for v, name in sorted(step.names.items())},
-        }
-        for step in trace
-    ]
-    return json.dumps(doc, indent=2)
-
-
-def _json_id(value) -> int:
-    # int() would read true as 1 and 1.7 as 1, and lift onto the wrong variable
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise KernelError(f"trace id {value!r} is not an integer")
-    return value
-
-
-def _json_key(key: str) -> int:
-    # int() would read "1_0" as 10, " 0" as 0 and "\u0663" as 3
-    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
-        raise KernelError(f"trace id key {key!r} is not a canonical integer")
-    return int(key)
-
-
-def trace_from_json(text: str) -> tuple[TraceStep, ...]:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise KernelError(f"trace is not valid JSON: {exc}") from None
-    if not isinstance(doc, list):
-        raise KernelError("trace JSON must be a list of steps")
-    steps = []
-    for item in doc:
-        try:
-            step = TraceStep(
-                omitted=tuple(_json_id(v) for v in item["omitted"]),
-                keeper_root=_json_id(item["keeper_root"]),
-                delta={_json_key(src): _json_id(dst) for src, dst in item["delta"].items()},
-                names={_json_key(v): str(name) for v, name in item.get("names", {}).items()},
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise KernelError(f"malformed trace step: {exc}") from None
-        mentioned = set(step.omitted) | set(step.delta) | set(step.delta.values())
-        unnamed = mentioned - set(step.names)
-        if unnamed:
-            raise KernelError(f"trace step names no variable for ids {sorted(unnamed)}")
-        steps.append(step)
-    return tuple(steps)

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formats import TreeDecompositionWitness
 from .instance import IlpInstance, InstanceBuilder
-from .structure import (
-    ROOT,
-    Graph,
-    TreedepthDecomposition,
-    TreeDecompositionWitness,
-)
+from .structure import ROOT, Graph, TreedepthDecomposition
 
 __all__ = [
     "CLOSED",

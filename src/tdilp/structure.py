@@ -1,17 +1,21 @@
-"""Primal graphs, treedepth decompositions, tree-decomposition witnesses.
+"""Primal graphs and treedepth decompositions.
 
 The solver pipeline only ever consumes a treedepth decomposition: a
 rooted forest over the instance's variables whose ancestor-descendant
 closure contains every primal edge.  Tree decompositions (bags) appear
-as verifiable side artifacts of the generators.
+as verifiable side artifacts of the generators; they live in ``formats``,
+off the solve path.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .instance import IlpError, IlpInstance
+
+if TYPE_CHECKING:
+    from .formats import TreeDecompositionWitness
 
 ROOT = -1
 
@@ -189,23 +193,6 @@ class TreedepthDecomposition:
         return f"TreedepthDecomposition(n={self.n}, height={self.height})"
 
 
-class TreeDecompositionWitness:
-    """Bags over a rooted tree (or forest), the usual (P1)-(P3) object."""
-
-    __slots__ = ("tree", "bags", "width")
-
-    def __init__(self, tree: Mapping[int, int], bags: Mapping[int, Iterable[int]]):
-        skeleton = TreedepthDecomposition(tree)  # reuse the forest validation
-        self.tree = dict(skeleton.parent)
-        self.bags = {node: frozenset(bag) for node, bag in bags.items()}
-        if set(self.bags) != set(self.tree):
-            raise StructureError("bag nodes and tree nodes differ")
-        self.width = max((len(b) for b in self.bags.values()), default=0) - 1
-
-    def __repr__(self):
-        return f"TreeDecompositionWitness(bags={len(self.bags)}, width={self.width})"
-
-
 # ---------------------------------------------------------------------------
 # primal graph
 
@@ -360,62 +347,7 @@ def decompose(
 
 
 # ---------------------------------------------------------------------------
-# tree decompositions
-
-
-def treedepth_to_tree_decomposition(
-    decomposition: TreedepthDecomposition,
-) -> TreeDecompositionWitness:
-    """Bag of each node = its root path; width ≤ height - 1 by construction."""
-    bags = {v: decomposition.path_to_root(v) for v in decomposition.parent}
-    return TreeDecompositionWitness(decomposition.parent, bags)
-
-
-def verify_tree_decomposition(graph: Graph, witness: TreeDecompositionWitness) -> bool:
-    covered: set[int] = set()
-    for bag in witness.bags.values():
-        covered.update(bag)
-    if covered != set(graph.vertices):
-        return False
-    for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in witness.bags.values()):
-            return False
-    # the nodes holding a vertex induce a connected subtree exactly when
-    # one of them has its parent (or ROOT) outside them
-    tops = dict.fromkeys(graph.vertices, 0)
-    for node, bag in witness.bags.items():
-        parent = witness.tree[node]
-        if parent != ROOT:
-            bag = bag - witness.bags[parent]
-        for x in bag:
-            tops[x] += 1
-    return all(count == 1 for count in tops.values())
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def witness_to_json(witness: TreedepthDecomposition | TreeDecompositionWitness) -> str:
-    if isinstance(witness, TreedepthDecomposition):
-        nodes = witness.nodes()
-        if nodes != tuple(range(len(nodes))):
-            raise StructureError("treedepth witness JSON needs dense nodes 0..n-1")
-        return json.dumps(
-            {"kind": "treedepth", "parent": [witness.parent[v] for v in nodes]}
-        )
-    if isinstance(witness, TreeDecompositionWitness):
-        nodes = tuple(sorted(witness.tree))
-        if nodes != tuple(range(len(nodes))):
-            raise StructureError("treewidth witness JSON needs dense bag nodes 0..k-1")
-        return json.dumps(
-            {
-                "kind": "treewidth",
-                "parent": [witness.tree[v] for v in nodes],
-                "bags": [sorted(witness.bags[v]) for v in nodes],
-            }
-        )
-    raise StructureError(f"not a witness: {witness!r}")
+# witness file
 
 
 def _is_int_list(value) -> bool:
@@ -441,6 +373,8 @@ def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWi
     if kind == "treedepth":
         return TreedepthDecomposition(parent)
     if kind == "treewidth":
+        from .formats import TreeDecompositionWitness  # only bag witnesses load it
+
         bag_list = doc.get("bags")
         if not isinstance(bag_list, list) or len(bag_list) != len(parent_list):
             raise StructureError("witness 'bags' must be a list matching 'parent'")
@@ -449,38 +383,3 @@ def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWi
         bags = {i: frozenset(b) for i, b in enumerate(bag_list)}
         return TreeDecompositionWitness(parent, bags)
     raise StructureError(f"unknown witness kind {kind!r}")
-
-
-def parse_graph_file(text: str) -> Graph:
-    """First line: vertex count n.  Each further line: an edge "u v", 1-indexed."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise StructureError("empty graph file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise StructureError("first line must be the vertex count") from None
-    if n < 0:
-        raise StructureError("vertex count must be non-negative")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise StructureError(f"expected 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise StructureError(f"non-integer endpoint in {ln!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise StructureError(f"edge ({u}, {v}) out of range 1..{n}")
-        edges.append((u, v))
-    return Graph(range(1, n + 1), edges)
-
-
-def serialize_graph(graph: Graph) -> str:
-    if graph.vertices != tuple(range(1, graph.n + 1)):
-        raise StructureError("graph file format needs vertices 1..n")
-    lines = [str(graph.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import tdilp
-from tdilp.cli import run
+from tdilp.cli import _solve_parser, run
+from tdilp.commands import build_parser
 
 TWO_BLOCKS = (
     "max: z\n"
@@ -262,17 +263,87 @@ def test_oracle_ilp_without_numpy(two_blocks, capsys, monkeypatch):
     assert "'test' extra" in captured.err
 
 
-def test_cli_import_leaves_numpy_out():
+# the modules a `tdilp solve` process loads
+SOLVE_PATH = {
+    "tdilp",
+    "tdilp.cli",
+    "tdilp.instance",
+    "tdilp.kernelizer",
+    "tdilp.outcome",
+    "tdilp.solver",
+    "tdilp.structure",
+}
+
+
+def test_cli_import_leaves_numpy_out(two_blocks):
     # every `tdilp solve` is a fresh process that compiles what it imports,
-    # so the CLI loads the oracles (and numpy), the generators and
-    # dataclasses only for the commands that run them
+    # so the CLI loads the oracles (and numpy), the generators,
+    # dataclasses and every other command's code only for the commands
+    # that run them
     src = str(Path(tdilp.__file__).resolve().parents[1])
     unwanted = ["tdilp.oracle", "tdilp.reductions", "dataclasses", "numpy"]
-    code = f"import sys, tdilp.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    code = (
+        f"import sys, tdilp.cli; print([m for m in {unwanted!r} if m in sys.modules]);"
+        " print(sorted(m for m in sys.modules if m.split('.')[0] == 'tdilp'))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", repr(sorted(SOLVE_PATH))]
+
+    # -X importtime writes a line to stderr for every module the run imports
+    solve = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks],
+        env=env, capture_output=True, text=True,
+    )
+    assert solve.returncode == 0, solve.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in solve.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "tdilp.solver" in imported
+    assert {m for m in imported if m.split(".")[0] == "tdilp"} <= SOLVE_PATH
+    assert not imported & set(unwanted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.ilp"],
+        ["solve", "x.ilp", "--td", "w.json", "--bound", "3", "--propagate"],
+        ["solve"],
+        ["solve", "x.ilp", "--bogus"],
+        ["solve", "x.ilp", "extra"],
+        ["solve", "x.ilp", "--bound", "0"],
+        ["solve", "-h"],
+    ],
+)
+def test_solve_grammar_matches_the_full_grammar(argv, capsys):
+    # a solve builds only its own parser, which must parse, fail and print
+    # exactly as the grammar of every command does
+    results = []
+    for build in (_solve_parser, build_parser):
+        try:
+            parsed, code = vars(build().parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+        results.append((parsed, code, capsys.readouterr()))
+    assert results[0] == results[1]
+
+
+def test_public_names_resolve_lazily():
+    names = set(tdilp.__all__)
+    star: dict = {}
+    exec("from tdilp import *", star)
+    assert names <= set(star)
+    assert names <= set(dir(tdilp))
+    for name in names:
+        assert getattr(tdilp, name) is star[name]
+    assert tdilp.trace_to_json is tdilp.formats.trace_to_json
+    assert tdilp.compute_bounds is tdilp.bounds.compute_bounds
+    with pytest.raises(AttributeError):
+        tdilp.no_such_name
 
 
 def test_traced_launcher_matches_plain_solve(two_blocks, tmp_path):
@@ -375,6 +446,23 @@ def test_deeply_nested_json_is_an_input_error(two_blocks, tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "\u0663"])
+def test_non_ascii_integers_are_usage_errors(two_blocks, tmp_path, capsys, spelling):
+    ilp = tmp_path / "bad.ilp"
+    graph = tmp_path / "bad.graph"
+    for row in (f"{spelling} x <= 3", f"x <= {spelling}"):
+        ilp.write_text(f"max: x\n{row}\n", encoding="utf-8")
+        assert run(["solve", str(ilp)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+    graph.write_text(f"3\n1 {spelling}\n", encoding="utf-8")
+    assert run(["oracle", "3col", "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err.startswith("error: non-integer endpoint")
+    assert run(["solve", two_blocks, "--bound", spelling]) == 2
+    assert run(["bounds", "--ell", spelling, "--k", "2"]) == 2
+    assert run(["generate", "subsetsum", "--values", f"3,{spelling}", "--target", "8"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -104,6 +104,28 @@ def test_integer_over_the_int_string_limit_is_a_syntax_error():
         sys.set_int_max_str_digits(old)
 
 
+# int() reads each of these as an integer; the format takes ASCII digits only
+NON_ASCII_INTEGERS = ["1_0", "\u0663", "\uff13", "\u00b2", "1\u0660"]
+
+
+@pytest.mark.parametrize("spelling", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize("row", ["{} x <= 3", "x - {} y <= 3", "x <= {}", "x <= -{}"])
+def test_integers_are_ascii_digits_on_both_sides(row, spelling):
+    with pytest.raises(IlpSyntaxError) as e:
+        parse_instance("max: x\n" + row.format(spelling) + "\n")
+    assert e.value.line == 2
+
+
+def test_right_hand_side_takes_one_sign():
+    assert parse_instance("max: x\nx <= -5\n").constraints[0].rhs == -5
+    assert parse_instance("max: x\nx <= +5\n").constraints[0].rhs == 5
+    assert parse_instance("max: x\nx <= 007\n").constraints[0].rhs == 7
+    for rhs in ("+-5", "--5", "- 5", "5 5", "0x5"):
+        with pytest.raises(IlpSyntaxError) as e:
+            parse_instance(f"max: x\nx <= {rhs}\n")
+        assert e.value.line == 2
+
+
 def test_serialize_objective_first_and_sorted_rows():
     text = serialize_instance(parse_instance("max: y + 2x\nyy + x <= 3\nx <= 1\n"))
     lines = text.splitlines()

@@ -81,9 +81,12 @@ def test_triple_block_prune_and_names_survive():
 
 def test_unequal_blocks_are_kept():
     ins, dec = _blocks_instance([4, 3])
-    kernel, _, trace = kernelize(ins, dec)
+    kernel, kdec, trace = kernelize(ins, dec)
     assert kernel.n_variables == 3
     assert len(trace) == 0
+    # nothing pruned: the inputs come back, not copies rebuilt from them
+    assert kernel is ins
+    assert kdec is dec
 
 
 def test_objective_holding_block_is_never_pruned():

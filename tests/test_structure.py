@@ -10,23 +10,25 @@ from conftest import complete_graph, cycle_graph, path_graph, petersen
 from tdilp.instance import parse_instance
 from tdilp.kernelizer import KernelError
 from tdilp.solver import solve_pipeline
+from tdilp.formats import (
+    TreeDecompositionWitness,
+    parse_graph_file,
+    serialize_graph,
+    treedepth_to_tree_decomposition,
+    verify_tree_decomposition,
+    witness_to_json,
+)
 from tdilp.structure import (
     ROOT,
     Graph,
     StructureError,
     TreedepthDecomposition,
-    TreeDecompositionWitness,
     build_primal_graph,
     compute_treedepth_exact,
     decompose,
     dfs_treedepth_heuristic,
-    parse_graph_file,
-    serialize_graph,
-    treedepth_to_tree_decomposition,
-    verify_tree_decomposition,
     verify_treedepth_decomposition,
     witness_from_json,
-    witness_to_json,
 )
 from tdilp.oracle import treedepth_reference
 
@@ -233,6 +235,17 @@ def test_graph_file_errors():
     for bad in ["", "2\n1 3\n", "x\n", "2\n1\n"]:
         with pytest.raises(StructureError):
             parse_graph_file(bad)
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "\u0662", "\uff12", "+2", "-1"])
+def test_graph_file_integers_are_ascii_digits(spelling):
+    # int() reads all but "-1" as a valid count or endpoint
+    with pytest.raises(StructureError, match="vertex count"):
+        parse_graph_file(f"{spelling}\n")
+    with pytest.raises(StructureError, match="non-integer endpoint"):
+        parse_graph_file(f"12\n1 {spelling}\n")
+    with pytest.raises(StructureError, match="non-integer endpoint"):
+        parse_graph_file(f"12\n{spelling} 1\n")
 
 
 small_graphs = st.integers(min_value=0, max_value=63).map(
