@@ -47,7 +47,9 @@ class MissingVariableError(IlpError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_']*|[+\-*])")
+# one token of a linexpr: (digits, "_" when the digits run straight into one,
+# name, operator, any other character)
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)(_?)|([A-Za-z_][A-Za-z0-9_']*)|([+\-*])|(\S))")
 # a signed integer in tdilp's text input (right-hand sides, command-line
 # options); int() alone would also take "1_0" and digits such as "\u0663"
 INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -102,10 +104,10 @@ class VariableId(Record):
         object.__setattr__(self, "name", name)
 
 
-def _merge_terms(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _merge_terms(terms: dict[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Sum the coefficients per variable id, drop zeros, sort by id."""
     merged: dict[int, int] = {}
-    for var, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+    for var, coeff in terms.items() if isinstance(terms, dict) else terms:
         merged[var] = merged.get(var, 0) + coeff
     return tuple(sorted((v, c) for v, c in merged.items() if c != 0))
 
@@ -147,7 +149,7 @@ class LinearConstraint(_Terms):
         object.__setattr__(self, "rhs", rhs)
 
     @staticmethod
-    def make(terms: Mapping[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
+    def make(terms: dict[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
         cleaned = _merge_terms(terms)
         if not cleaned:
             raise IlpError("constraint has no variables after dropping zero coefficients")
@@ -175,7 +177,7 @@ class LinearObjective(_Terms):
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
-    def make(terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LinearObjective":
+    def make(terms: dict[int, int] | Iterable[tuple[int, int]]) -> "LinearObjective":
         return LinearObjective(_merge_terms(terms))
 
     def is_zero(self) -> bool:
@@ -218,12 +220,10 @@ class IlpInstance:
         self._name_by_id = {v.id: v.name for v in vs}
         self._id_by_name = {v.name: v.id for v in vs}
         declared = set(self._name_by_id)
-        seen: dict[tuple, LinearConstraint] = {}
-        for c in constraints:
-            for var in c.variables():
-                if var not in declared:
-                    raise IlpError(f"constraint uses undeclared variable id {var}")
-            seen[c.sort_key()] = c
+        seen = {c.sort_key(): c for c in constraints}
+        if not declared.issuperset([v for terms, _ in seen for v, _ in terms]):
+            var = next(v for c in seen.values() for v in c.variables() if v not in declared)
+            raise IlpError(f"constraint uses undeclared variable id {var}")
         self.constraints = tuple(seen[k] for k in sorted(seen))
         obj = objective if objective is not None else LinearObjective()
         for var in obj.variables():
@@ -322,23 +322,27 @@ def omit_variables(instance: IlpInstance, drop: Iterable[int]) -> IlpInstance:
 # parsing
 
 
-def _tokenize_expr(text: str, line_no: int) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise IlpSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}", line_no)
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+def _scan_error(tokens: list[tuple[str, ...]], line_no: int) -> IlpSyntaxError | None:
+    """The first token of a linexpr that the grammar cannot scan, as an error."""
+    for digits, underscore, _, _, other in tokens:
+        if other:
+            return IlpSyntaxError(f"unexpected character {other!r}", line_no)
+        if underscore:
+            return IlpSyntaxError(f"an integer must not run into '_': {digits}_", line_no)
+    return None
 
 
-def _parse_linexpr(text: str, line_no: int, declare) -> tuple[dict[str, int], int]:
-    """Return (name -> coefficient, constant).  ``declare`` registers names."""
-    tokens = _tokenize_expr(text, line_no)
+def _parse_linexpr(text: str, line_no: int, declared: set[str]) -> tuple[dict[str, int], int]:
+    """Return (name -> nonzero coefficient, constant) and add every name,
+    a zero-coefficient one too, to ``declared``.
+
+    A scan error anywhere in the text is reported before any grammar error.
+    """
+    tokens = _TOKEN_RE.findall(text)
+
+    def fail(message: str) -> IlpSyntaxError:
+        return _scan_error(tokens, line_no) or IlpSyntaxError(message, line_no)
+
     if not tokens:
         raise IlpSyntaxError("empty expression", line_no)
     terms: dict[str, int] = {}
@@ -347,44 +351,48 @@ def _parse_linexpr(text: str, line_no: int, declare) -> tuple[dict[str, int], in
     sign = 1
     expect_term = True
     while i < len(tokens):
-        tok = tokens[i]
-        if tok in "+-":
-            if expect_term and tok == "-":
+        digits, underscore, name, op, other = tokens[i]
+        if other or underscore:
+            raise _scan_error(tokens, line_no)
+        if op in ("+", "-"):
+            if expect_term and op == "-":
                 sign = -sign
                 i += 1
                 continue
             if expect_term:
-                raise IlpSyntaxError("misplaced '+'", line_no)
-            sign = -1 if tok == "-" else 1
+                raise fail("misplaced '+'")
+            sign = -1 if op == "-" else 1
             expect_term = True
             i += 1
             continue
         if not expect_term:
-            raise IlpSyntaxError(f"expected '+' or '-' before {tok!r}", line_no)
-        if tok.isdigit():
-            coeff = sign * _parse_int(tok, line_no)
+            raise fail(f"expected '+' or '-' before {digits or name or op!r}")
+        if digits:
+            coeff = sign * _to_int(digits, line_no)
             i += 1
-            if i < len(tokens) and tokens[i] == "*":
+            if i < len(tokens) and tokens[i][3] == "*":
                 i += 1
-                if i >= len(tokens) or not _NAME_RE.fullmatch(tokens[i]):
-                    raise IlpSyntaxError("expected variable name after '*'", line_no)
-            if i < len(tokens) and _NAME_RE.fullmatch(tokens[i]):
-                name = tokens[i]
-                declare(name)
+                if i >= len(tokens) or not tokens[i][2]:
+                    raise fail("expected variable name after '*'")
+            if i < len(tokens) and tokens[i][2]:
+                name = tokens[i][2]
+                declared.add(name)
                 terms[name] = terms.get(name, 0) + coeff
                 i += 1
             else:
                 constant += coeff
-        elif _NAME_RE.fullmatch(tok):
-            declare(tok)
-            terms[tok] = terms.get(tok, 0) + sign
+        elif name:
+            declared.add(name)
+            terms[name] = terms.get(name, 0) + sign
             i += 1
         else:
-            raise IlpSyntaxError(f"unexpected token {tok!r}", line_no)
+            raise fail(f"unexpected token {op!r}")
         sign = 1
         expect_term = False
     if expect_term:
-        raise IlpSyntaxError("dangling sign at end of expression", line_no)
+        raise fail("dangling sign at end of expression")
+    if 0 in terms.values():
+        terms = {n: c for n, c in terms.items() if c}
     return terms, constant
 
 
@@ -392,9 +400,14 @@ def _parse_int(text: str, line_no: int) -> int:
     text = text.strip()
     if not INT_RE.fullmatch(text):
         raise IlpSyntaxError(f"expected an integer, got {text!r}", line_no)
+    return _to_int(text, line_no)
+
+
+def _to_int(text: str, line_no: int) -> int:
+    """int() of text whose syntax is checked, so only the int-string limit is left."""
     try:
         return int(text)
-    except ValueError:  # the syntax is checked, so only the int-string limit is left
+    except ValueError:
         digits = len(text.lstrip("+-"))
         raise IlpSyntaxError(f"integer of {digits} digits is over the int-string limit", line_no) from None
 
@@ -413,8 +426,9 @@ def parse_instance(text: str) -> IlpInstance:
     line wins over an empty row on an earlier one.
     """
     builder = InstanceBuilder()
+    declared, rows = builder._known, builder._rows
     objective_terms: dict[str, int] | None = None
-    raw_rows: list[tuple[dict[str, int], str, int, int]] = []
+    empty_row = None  # the first row without variables
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -424,33 +438,31 @@ def parse_instance(text: str) -> IlpInstance:
             m = re.match(r"max\s*:\s*(.*)$", line)
             if not m:
                 raise IlpSyntaxError("first line must be 'max: <expression>'", line_no)
-            terms, constant = _parse_linexpr(m.group(1), line_no, builder.var)
+            objective_terms, constant = _parse_linexpr(m.group(1), line_no, declared)
             if constant != 0:
                 raise IlpSyntaxError("objective must not contain a constant term", line_no)
-            objective_terms = terms
             continue
         rel = _REL_RE.search(line)
         if not rel:
             raise IlpSyntaxError("constraint needs one of <=, >=, =, <, >", line_no)
         lhs_text, op, rhs_text = line[: rel.start()], rel.group(1), line[rel.end() :]
-        terms, constant = _parse_linexpr(lhs_text, line_no, builder.var)
+        terms, constant = _parse_linexpr(lhs_text, line_no, declared)
         rhs = _parse_int(rhs_text, line_no) - constant
-        raw_rows.append((terms, op, rhs, line_no))
+        # each row is normalized once, here and in build(): its names are
+        # declared and its terms merged
+        if not terms:
+            empty_row = empty_row or line_no
+        else:
+            if op in ("<=", "<", "=", "=="):
+                rows.append((terms, rhs - 1 if op == "<" else rhs))
+            if op in (">=", ">", "=", "=="):
+                rows.append(({n: -c for n, c in terms.items()}, -(rhs + 1 if op == ">" else rhs)))
 
     if objective_terms is None:
         raise IlpSyntaxError("missing objective line", 1)
-
-    for terms, op, rhs, line_no in raw_rows:
-        try:
-            if op in ("<=", "<"):
-                builder.add_le(terms, rhs - 1 if op == "<" else rhs)
-            elif op in (">=", ">"):
-                builder.add_ge(terms, rhs + 1 if op == ">" else rhs)
-            else:
-                builder.add_eq(terms, rhs)
-        except IlpError as exc:  # the builder's empty-row check
-            raise IlpSyntaxError(str(exc), line_no) from None
-    builder.set_objective(objective_terms)
+    if empty_row is not None:
+        raise IlpSyntaxError("constraint has no variables", empty_row)
+    builder._objective = objective_terms
     return builder.build()
 
 
@@ -510,13 +522,16 @@ class InstanceBuilder:
     """Accumulates rows keyed by variable name, then builds a normalized instance.
 
     This is the one code path from named rows to an ``IlpInstance``;
-    ``parse_instance`` builds through it.  ``add_ge`` and ``add_eq`` fold
-    into ``<=`` rows, and ``build`` numbers ids by the lexicographic rank of
-    the name, so built instances serialize and reload unchanged.
+    ``parse_instance`` builds through it, filling the declared names and the
+    rows directly, since its rows come out of the scan merged and declared.
+    ``add_ge`` and ``add_eq`` fold into ``<=`` rows, and ``build`` numbers
+    ids by the lexicographic rank of the name, so built instances serialize
+    and reload unchanged.
     """
 
     def __init__(self):
         self._known: set[str] = set()
+        # rows and objective keep declared names with nonzero coefficients
         self._rows: list[tuple[dict[str, int], int]] = []
         self._objective: dict[str, int] = {}
 
@@ -527,14 +542,17 @@ class InstanceBuilder:
             self._known.add(name)
         return name
 
-    def add_le(self, terms: Mapping[str, int], rhs: int):
-        cleaned = {self.var(n): c for n, c in terms.items() if c != 0}
+    def _cleaned(self, terms: Mapping[str, int], sign: int = 1) -> dict[str, int]:
+        cleaned = {self.var(n): sign * c for n, c in terms.items() if c != 0}
         if not cleaned:
             raise IlpError("constraint has no variables")
-        self._rows.append((cleaned, rhs))
+        return cleaned
+
+    def add_le(self, terms: Mapping[str, int], rhs: int):
+        self._rows.append((self._cleaned(terms), rhs))
 
     def add_ge(self, terms: Mapping[str, int], rhs: int):
-        self.add_le({n: -c for n, c in terms.items()}, -rhs)
+        self._rows.append((self._cleaned(terms, -1), -rhs))
 
     def add_eq(self, terms: Mapping[str, int], rhs: int):
         self.add_le(terms, rhs)
@@ -544,13 +562,13 @@ class InstanceBuilder:
         self._objective = {self.var(n): c for n, c in terms.items() if c != 0}
 
     def build(self) -> IlpInstance:
-        ranked = sorted(self._known)
-        ids = {name: i for i, name in enumerate(ranked)}
+        ids = {name: i for i, name in enumerate(sorted(self._known))}
         variables = [VariableId(i, n) for n, i in ids.items()]
-        constraints = [
-            LinearConstraint.make({ids[n]: c for n, c in terms.items()}, rhs)
-            for terms, rhs in self._rows
-        ]
-        objective = LinearObjective.make({ids[n]: c for n, c in self._objective.items()})
-        return IlpInstance(variables, constraints, objective)
+        id_of = ids.__getitem__
 
+        def by_id(terms: dict[str, int]) -> tuple[tuple[int, int], ...]:
+            # names map to distinct ids and zeros are gone: nothing to merge
+            return tuple(sorted(zip(map(id_of, terms), terms.values())))
+
+        constraints = [LinearConstraint(by_id(terms), rhs) for terms, rhs in self._rows]
+        return IlpInstance(variables, constraints, LinearObjective(by_id(self._objective)))

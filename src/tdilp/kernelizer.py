@@ -80,8 +80,8 @@ def constraints_touching(instance: IlpInstance, Y: Iterable[int]) -> tuple[Linea
 
 def _constraint_view(constraint: LinearConstraint, inside: set[int]):
     """What a constraint looks like when the inside variables lose their names."""
-    outside = tuple((v, k) for v, k in constraint.terms if v not in inside)
-    inner = tuple(sorted(k for v, k in constraint.terms if v in inside))
+    outside = tuple([(v, k) for v, k in constraint.terms if v not in inside])
+    inner = tuple(sorted([k for v, k in constraint.terms if v in inside]))
     return (outside, inner, constraint.rhs)
 
 
@@ -237,23 +237,6 @@ def test_equivalence(
     return None if delta is None else EquivalenceWitness(x=x, y=y, delta=delta)
 
 
-def witness_is_sound(
-    instance: IlpInstance,
-    decomposition: TreedepthDecomposition,
-    witness: EquivalenceWitness,
-) -> bool:
-    """Re-derive the defining property of a witness from scratch."""
-    X = decomposition.subtree(witness.x)
-    Y = decomposition.subtree(witness.y)
-    delta = witness.delta
-    if sorted(delta) != sorted(X) or sorted(delta.values()) != sorted(Y):
-        return False
-    fx = constraints_touching(instance, set(X))
-    fy = constraints_touching(instance, set(Y))
-    image = {_renamed_key(c, delta) for c in fx}
-    return None not in image and image == {c.sort_key() for c in fy}
-
-
 # ---------------------------------------------------------------------------
 # pruning
 
@@ -272,7 +255,7 @@ class _Pruner:
         self.decomposition = decomposition
         self.rows_of: dict[int, list[int]] = {v: [] for v in instance.ids()}
         for i, c in enumerate(instance.constraints):
-            for v in c.variables():
+            for v, _ in c.terms:
                 self.rows_of[v].append(i)
         # nodes whose subtree holds an objective variable are never pruned
         self.holders: set[int] = set()

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterable
 
-from .instance import IlpError, IlpInstance
+from .instance import IlpError, IlpInstance, LinearConstraint
 from .outcome import INFEASIBLE, OPTIMAL, SolveOutcome
-from .structure import Graph, TreedepthDecomposition
+from .structure import Graph, StructureError, TreedepthDecomposition
 
 
 class OracleBudgetError(Exception):
@@ -148,6 +149,15 @@ def brute_vertex_cover(graph: Graph, nu: int, cap: int = 16) -> bool:
     return False
 
 
+def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
+    """The subgraph that the vertices in keep induce."""
+    kept = set(keep)
+    unknown = kept - set(graph.vertices)
+    if unknown:
+        raise StructureError(f"unknown vertices {sorted(unknown)}")
+    return Graph(kept, [(u, v) for u, v in graph.edges if u in kept and v in kept])
+
+
 def treedepth_reference(graph: Graph, cap: int = 12) -> int:
     """Treedepth by the defining recursion.
 
@@ -238,6 +248,22 @@ def longest_path_vertices(graph: Graph, cap: int = 14) -> int:
     return best
 
 
+def _touching(instance: IlpInstance, nodes) -> list[LinearConstraint]:
+    inside = set(nodes)
+    return [c for c in instance.constraints if inside & set(c.variables())]
+
+
+def _renames_onto(fx, delta: dict[int, int], target: set) -> bool:
+    """Whether renaming fx through delta gives exactly the rows whose sort
+    keys are target."""
+    try:
+        image = {c.renamed(delta).sort_key() for c in fx}
+    except IlpError:
+        # the rename cancelled a constraint to nothing; not a match
+        return False
+    return image == target
+
+
 def equivalence_reference(
     instance: IlpInstance,
     decomposition: TreedepthDecomposition,
@@ -256,19 +282,25 @@ def equivalence_reference(
         raise OracleBudgetError(f"subtree of {len(X)} nodes beyond the bijection cap {cap}")
     if len(X) != len(Y):
         return None
-    x_set, y_set = set(X), set(Y)
-    fx = [c for c in instance.constraints if x_set & set(c.variables())]
-    fy = [c for c in instance.constraints if y_set & set(c.variables())]
+    fx, fy = _touching(instance, X), _touching(instance, Y)
     if len(fx) != len(fy):
         return None
     target = {c.sort_key() for c in fy}
     for perm in itertools.permutations(Y):
         delta = dict(zip(X, perm))
-        try:
-            image = {c.renamed(delta).sort_key() for c in fx}
-        except IlpError:
-            # the rename cancelled a constraint to nothing; not a match
-            continue
-        if image == target:
+        if _renames_onto(fx, delta, target):
             return delta
     return None
+
+
+def witness_is_sound(instance: IlpInstance, decomposition: TreedepthDecomposition, witness) -> bool:
+    """Re-derive the defining property of an equivalence witness from scratch:
+    its delta maps T_x onto T_y and the rows touching T_x onto those
+    touching T_y."""
+    X = decomposition.subtree(witness.x)
+    Y = decomposition.subtree(witness.y)
+    delta = witness.delta
+    if sorted(delta) != sorted(X) or sorted(delta.values()) != sorted(Y):
+        return False
+    target = {c.sort_key() for c in _touching(instance, Y)}
+    return _renames_onto(_touching(instance, X), delta, target)

@@ -13,6 +13,7 @@ solved by the same engine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 
 from .instance import (
@@ -108,65 +109,76 @@ class _SearchProgram:
     def __init__(self, instance: IlpInstance, propagate: bool = False):
         self.ids = instance.ids()
         index = {v: j for j, v in enumerate(self.ids)}
-        self.n = len(self.ids)
-        self.obj = [0] * self.n
+        self.n = n = len(self.ids)
+        self.obj = obj = [0] * n
         for v, c in instance.objective.terms:
-            self.obj[index[v]] = c
+            obj[index[v]] = c
         # value-threshold cut: -obj . x <= -t, kept as a separate row shape
-        self.cut_gcd = max(math.gcd(*(abs(c) for c in self.obj), 0), 1)
-        self.cut_terms = tuple(
-            (j, -c // self.cut_gcd) for j, c in enumerate(self.obj) if c != 0
+        self.cut_gcd = max(math.gcd(*(abs(c) for c in obj), 0), 1)
+        self.cut_terms = cut_terms = tuple(
+            (j, -c // self.cut_gcd) for j, c in enumerate(obj) if c != 0
         )
-        # ids ascend with the index, so these rows keep the instance's order
-        rows = [
+        # ids ascend with the index, so these rows keep the instance's sorted
+        # order and their terms stay sorted by index: a row's terms serve as
+        # its key in tightest as they stand
+        raw = [
             (tuple((index[v], c) for v, c in row.terms), row.rhs)
             for row in instance.constraints
         ]
-        self._index_rows(rows)
+        self.rows = rows = [_primitive(terms, rhs) for terms, rhs in raw]
         if propagate:
-            extra = _presolve_rows(self)
-            if extra:
-                self._index_rows(sorted(extra.union(rows)))
+            # the derived rows take their places in sorted(extra | raw), and
+            # like every row are made primitive after that sort
+            for row in sorted(_presolve_rows(rows, obj)):
+                at = bisect_left(raw, row)
+                if at == len(raw) or raw[at] != row:
+                    raw.insert(at, row)
+                    rows.insert(at, _primitive(*row))
 
-    def _index_rows(self, rows) -> None:
-        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = [
-            _primitive(terms, rhs) for terms, rhs in rows
-        ]
-        self.var_rows: list[list[int]] = [[] for _ in range(self.n)]
+        self.var_rows = var_rows = [[] for _ in range(n)]
         # The rows whose floor sum reads lo[j] (x_j has a positive
         # coefficient) and hi[j] (a negative one): _propagate requeues only
         # those when that bound moves.  A row over one variable bounds it by
         # its rhs alone, so after one pass it never tightens again and is
-        # listed in neither.
-        self.lo_readers: list[list[int]] = [[] for _ in range(self.n)]
-        self.hi_readers: list[list[int]] = [[] for _ in range(self.n)]
-        for ri, (terms, _) in enumerate(self.rows):
-            for j, c in terms:
-                self.var_rows[j].append(ri)
-                if len(terms) > 1:
-                    (self.lo_readers if c > 0 else self.hi_readers)[j].append(ri)
+        # listed in neither.  The value cut is listed as row len(rows), by
+        # the same rule.
+        self.lo_readers = lo_readers = [[] for _ in range(n)]
+        self.hi_readers = hi_readers = [[] for _ in range(n)]
         # Two rows a.x <= b1, -a.x <= b2 with b1 + b2 < 0 are a complete
         # infeasibility proof, and interval propagation, converging one unit
         # per pass on such a pair, never finishes it over a certified box.
         # Rows are gcd-normalized, so every proportional pair is exactly
         # opposite: index the tightest rhs per direction once, and leave each
         # dive only its own cut row to check against the index.
-        tightest: dict[tuple[tuple[int, int], ...], int] = {}
-        for terms, rhs in self.rows:
-            if terms:
-                key = tuple(sorted(terms))
-                tightest[key] = min(rhs, tightest.get(key, rhs))
-        self.tightest = tightest
-        self.rows_contradict = any(
-            rhs + tightest.get(_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
-        )
-        self.cut_opposite = tightest.get(_opposite(self.cut_terms))
-        # a.x = b, once per pair: the row whose first coefficient is positive
-        self.equalities = [
-            (key, rhs) for key, rhs in tightest.items()
-            if key[0][1] > 0 and tightest.get(_opposite(key)) == -rhs
-        ]
-        self.var_eqs: list[list[int]] = [[] for _ in range(self.n)]
+        self.tightest = tightest = {}
+        for ri, (terms, rhs) in enumerate(rows):
+            if len(terms) > 1:
+                for j, c in terms:
+                    var_rows[j].append(ri)
+                    (lo_readers if c > 0 else hi_readers)[j].append(ri)
+            elif terms:
+                var_rows[terms[0][0]].append(ri)
+            else:
+                continue
+            if tightest.get(terms, rhs) >= rhs:
+                tightest[terms] = rhs
+        if len(cut_terms) > 1:
+            for j, c in cut_terms:
+                (lo_readers if c > 0 else hi_readers)[j].append(len(rows))
+        # a.x = b, once per pair: the row whose first coefficient is positive;
+        # a contradicting pair also has exactly one such row
+        self.rows_contradict = False
+        self.equalities = []
+        for key, rhs in tightest.items():
+            if key[0][1] > 0:
+                opposite = tightest.get(_opposite(key))
+                if opposite is not None:
+                    if rhs + opposite < 0:
+                        self.rows_contradict = True
+                    elif rhs + opposite == 0:
+                        self.equalities.append((key, rhs))
+        self.cut_opposite = tightest.get(_opposite(cut_terms))
+        self.var_eqs = [[] for _ in range(n)]
         for ei, (terms, _) in enumerate(self.equalities):
             for j, _ in terms:
                 self.var_eqs[j].append(ei)
@@ -242,26 +254,21 @@ def _propagate(
     None queues everything.
     """
     rows = program.rows
-    cut_row = len(rows) if cut_rhs is not None and program.cut_terms else None
-    n_rows = len(rows) + (cut_row is not None)
+    cut_row = len(rows)  # the cut's index in the reader lists
+    has_cut = cut_rhs is not None and bool(program.cut_terms)
+    n_rows = cut_row + has_cut
     if n_rows == 0:
         return True if all(lo[j] <= hi[j] for j in range(program.n)) else None
     budget = 4 * n_rows + 8 * program.n + 32
     equalities = program.equalities
-    lo_readers, hi_readers = program.lo_readers, program.hi_readers
-    var_eqs, obj = program.var_eqs, program.obj
-    # the cut row -obj.x <= cut_rhs reads hi[j] where obj[j] > 0 and lo[j]
-    # where obj[j] < 0; over one variable it is a bounds row
-    cut_links = cut_row is not None and len(program.cut_terms) > 1
+    lo_readers, hi_readers, var_eqs = program.lo_readers, program.hi_readers, program.var_eqs
 
-    def moved(j: int, readers: list[int], cut_reads: bool) -> None:
+    def wake(j: int, readers: list[int]) -> None:
+        # the row loop below inlines this
         for other in readers:
             if not queued[other]:
                 queued[other] = 1
                 queue.append(other)
-        if cut_reads and not queued[cut_row]:
-            queued[cut_row] = 1
-            queue.append(cut_row)
         for ei in var_eqs[j]:
             if not eq_queued[ei]:
                 eq_queued[ei] = 1
@@ -269,14 +276,15 @@ def _propagate(
 
     if branched is None:
         queue = deque(range(n_rows))
-        queued = bytearray(b"\x01") * n_rows
+        queued = bytearray(b"\x01") * (cut_row + 1)
         eq_queue = deque(range(len(equalities)))
         eq_queued = bytearray(b"\x01") * len(equalities)
     else:
-        queue, queued = deque(), bytearray(n_rows)
+        queue, queued = deque(), bytearray(cut_row + 1)
+        # without a cut its entry reads as queued, so it is never queued
+        queued[cut_row] = not has_cut
         eq_queue, eq_queued = deque(), bytearray(len(equalities))
-        moved(branched, lo_readers[branched], cut_links and obj[branched] < 0)
-        moved(branched, hi_readers[branched], cut_links and obj[branched] > 0)
+        wake(branched, lo_readers[branched] + hi_readers[branched])
 
     while queue or eq_queue:
         if not queue:
@@ -301,46 +309,50 @@ def _propagate(
                     if budget <= 0:
                         return False
                     if rose:
-                        moved(j, lo_readers[j], cut_links and obj[j] < 0)
+                        wake(j, lo_readers[j])
                     if fell:
-                        moved(j, hi_readers[j], cut_links and obj[j] > 0)
+                        wake(j, hi_readers[j])
             continue
         ri = queue.popleft()
         queued[ri] = 0
-        terms, rhs = rows[ri] if ri != cut_row else (program.cut_terms, cut_rhs)
-        floor_sum = 0
+        terms, slack = rows[ri] if ri != cut_row else (program.cut_terms, cut_rhs)
         for j, c in terms:
-            floor_sum += c * lo[j] if c > 0 else c * hi[j]
-        if floor_sum > rhs:
+            slack -= c * lo[j] if c > 0 else c * hi[j]
+        if slack < 0:
             return None
+        # x_j's own floor term leaves it slack // |c| of room
         for j, c in terms:
-            own = c * lo[j] if c > 0 else c * hi[j]
-            room = rhs - (floor_sum - own)
             if c > 0:
-                new_hi = room // c
+                new_hi = lo[j] + slack // c
                 if new_hi >= hi[j]:
                     continue
                 if j in classes:
                     r, m = classes[j]
                     new_hi -= (new_hi - r) % m
                 hi[j] = new_hi
+                readers = hi_readers[j]
             else:
-                new_lo = -(room // -c)
+                new_lo = hi[j] - slack // -c
                 if new_lo <= lo[j]:
                     continue
                 if j in classes:
                     r, m = classes[j]
                     new_lo += (r - new_lo) % m
                 lo[j] = new_lo
+                readers = lo_readers[j]
             if lo[j] > hi[j]:
                 return None
             budget -= 1
             if budget <= 0:
                 return False
-            if c > 0:
-                moved(j, hi_readers[j], cut_links and obj[j] > 0)
-            else:
-                moved(j, lo_readers[j], cut_links and obj[j] < 0)
+            for other in readers:
+                if not queued[other]:
+                    queued[other] = 1
+                    queue.append(other)
+            for ei in var_eqs[j]:
+                if not eq_queued[ei]:
+                    eq_queued[ei] = 1
+                    eq_queue.append(ei)
     return True
 
 
@@ -526,8 +538,8 @@ def detect_unbounded(instance: IlpInstance) -> bool:
 # domain presolve (the --propagate pass)
 
 
-def _presolve_rows(program: _SearchProgram) -> set[tuple[tuple[tuple[int, int], ...], int]]:
-    """Rows the propagate flag adds, read off the program's indexes.
+def _presolve_rows(rows, obj: list[int]) -> set[tuple[tuple[tuple[int, int], ...], int]]:
+    """Rows the propagate flag adds to the primitive rows of a search program.
 
     Both rewrites are sound and concern remainder equalities g - p*m - r = 0
     whose r is confined to [0, p-1]:
@@ -538,11 +550,19 @@ def _presolve_rows(program: _SearchProgram) -> set[tuple[tuple[tuple[int, int], 
         all of them are objective-free, any feasible point translates to
         one with g < lcm(p), so the bound g <= lcm(p) - 1 is added.
     """
-    rows, tightest, var_rows, obj = program.rows, program.tightest, program.var_rows, program.obj
+    # the part of _SearchProgram's index that the rewrites read
+    var_rows: list[list[int]] = [[] for _ in obj]
+    tightest: dict[tuple[tuple[int, int], ...], int] = {}
+    for ri, (terms, rhs) in enumerate(rows):
+        for j, _ in terms:
+            var_rows[j].append(ri)
+        if tightest.get(terms, rhs) >= rhs:
+            tightest[terms] = rhs
     by_gp: dict[tuple[int, int], list[tuple[int, int]]] = {}
     by_g: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
-    for key, rhs in program.equalities:
-        if rhs != 0 or len(key) != 3:
+    for key, rhs in tightest.items():
+        # each equality row pair once, as _SearchProgram.equalities lists it
+        if rhs != 0 or len(key) != 3 or key[0][1] < 0 or tightest.get(_opposite(key)) != 0:
             continue
         for terms in (key, _opposite(key)):
             (m, neg_p), (r, neg_one), (g, one) = sorted(terms, key=lambda t: t[1])

@@ -10,6 +10,7 @@ off the solve path.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .instance import IlpError, IlpInstance
@@ -61,13 +62,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def subgraph(self, keep: Iterable[int]) -> "Graph":
-        kept = set(keep)
-        unknown = kept - set(self.vertices)
-        if unknown:
-            raise StructureError(f"unknown vertices {sorted(unknown)}")
-        return Graph(kept, [(u, v) for u, v in self.edges if u in kept and v in kept])
 
     def connected_components(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(c)) for c in _components_within(frozenset(self.vertices), self)]
@@ -199,16 +193,9 @@ class TreedepthDecomposition:
 
 def build_primal_graph(instance: IlpInstance) -> Graph:
     """Variables adjacent iff they share a constraint or both sit in the objective."""
-    edges: set[tuple[int, int]] = set()
+    edges = set(combinations(instance.objective.variables(), 2))
     for c in instance.constraints:
-        vs = c.variables()
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                edges.add((vs[i], vs[j]))
-    support = instance.objective.variables()
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            edges.add((support[i], support[j]))
+        edges.update(combinations([v for v, _ in c.terms], 2))
     return Graph(instance.ids(), edges)
 
 

@@ -33,15 +33,16 @@ from tdilp import (
 )
 from tdilp.cli import run
 from tdilp.kernelizer import test_equivalence as check_equivalence
-from tdilp.kernelizer import witness_is_sound
 from tdilp.oracle import (
     brute_force_ilp,
     brute_three_coloring,
     brute_vertex_cover,
     equivalence_reference,
+    induced_subgraph,
     longest_path_vertices,
     subset_sum_dp,
     treedepth_reference,
+    witness_is_sound,
 )
 from tdilp.reductions import (
     CLOSED,
@@ -398,7 +399,7 @@ def test_three_coloring_encoding_census(verdict, tmp_path):
     census.append(Graph(range(4), itertools.combinations(range(4), 2)))  # K4
     census.append(Graph(range(5), [(i, (i + 1) % 5) for i in range(5)]))  # C5
     for keep in ((0, 1, 2, 3, 4, 5), (0, 1, 2, 5, 6, 8), (2, 3, 4, 7, 8, 9)):
-        census.append(petersen.subgraph(keep))
+        census.append(induced_subgraph(petersen, keep))
 
     defects = []
     for g in census:
@@ -542,7 +543,7 @@ def test_treedepth_engines_agree_with_structural_facts(verdict):
         if not (k <= path < 2**k):
             defects.append((g, "path sandwich", k, path))
         v = rng.choice(g.vertices)
-        rest = g.subgraph(set(g.vertices) - {v})
+        rest = induced_subgraph(g, set(g.vertices) - {v})
         k_rest = compute_treedepth_exact(rest)[0] if rest.n else 0
         if k > k_rest + 1:
             defects.append((g, "vertex deletion", k, k_rest))

@@ -109,11 +109,28 @@ NON_ASCII_INTEGERS = ["1_0", "\u0663", "\uff13", "\u00b2", "1\u0660"]
 
 
 @pytest.mark.parametrize("spelling", NON_ASCII_INTEGERS)
-@pytest.mark.parametrize("row", ["{} x <= 3", "x - {} y <= 3", "x <= {}", "x <= -{}"])
+@pytest.mark.parametrize(
+    "row",
+    ["{} x <= 3", "x - {} y <= 3", "x <= {}", "x <= -{}", "x + {} >= 2", "x + {}y <= 3", "x + {}_y <= 3"],
+)
 def test_integers_are_ascii_digits_on_both_sides(row, spelling):
     with pytest.raises(IlpSyntaxError) as e:
         parse_instance("max: x\n" + row.format(spelling) + "\n")
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("max: x\nx + 1_0 >= 2\n", 2), ("max: x\nx + 2_y <= 3\n", 2), ("max: 2_x\n", 1),
+     ("max: x\n\nx - 3__y <= 1\n", 3)],
+)
+def test_digits_never_run_into_an_underscore(text, line):
+    # a coefficient may touch its name (2x) and a name may start with '_',
+    # but 1_0 is no integer and 2_y no term: neither declares _0 or _y
+    with pytest.raises(IlpSyntaxError, match="must not run into '_'") as e:
+        parse_instance(text)
+    assert e.value.line == line
+    assert parse_instance("max: x\nx + 2 _y <= 3\n").constraints[0].terms == ((0, 2), (1, 1))
 
 
 def test_right_hand_side_takes_one_sign():

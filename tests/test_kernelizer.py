@@ -25,9 +25,8 @@ from tdilp.kernelizer import (
     find_equivalent_pair,
     subtree_signature,
     test_equivalence as check_equivalence,
-    witness_is_sound,
 )
-from tdilp.oracle import brute_force_ilp
+from tdilp.oracle import brute_force_ilp, witness_is_sound
 from tdilp.structure import ROOT, build_primal_graph, dfs_treedepth_heuristic
 
 from conftest import deep_twin_paths

@@ -1,6 +1,7 @@
 """Exact solve: box bound, search, unboundedness, and the full pipeline."""
 
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
@@ -613,3 +614,130 @@ def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, c
     assert outcome.status == ("optimal" if brute_three_coloring(graph) else "infeasible")
     if outcome.status == "optimal":
         assert check_feasible(ins, outcome.assignment)
+
+
+def _naive_primitive(terms, rhs):
+    g = math.gcd(*(c for _, c in terms))
+    return tuple((j, c // g) for j, c in terms), rhs // g
+
+
+def _naive_opposite(terms):
+    return tuple((j, -c) for j, c in terms)
+
+
+def _reference_index(rows, n, cut_terms):
+    """Every field of a search program's index over rows, computed the plain way."""
+    rows = [_naive_primitive(terms, rhs) for terms, rhs in rows]
+    reads = [{j: c for j, c in terms} for terms, _ in rows]
+    cut = dict(cut_terms) if len(cut_terms) > 1 else {}
+    tightest = {}
+    for terms, rhs in rows:
+        key = tuple(sorted(terms))
+        tightest[key] = min(rhs, tightest.get(key, rhs))
+    equalities = [
+        (key, rhs) for key, rhs in tightest.items()
+        if key[0][1] > 0 and tightest.get(_naive_opposite(key)) == -rhs
+    ]
+
+    def readers(sign):
+        listed = [
+            [ri for ri, read in enumerate(reads) if len(read) > 1 and read.get(j, 0) * sign > 0]
+            for j in range(n)
+        ]
+        for j, c in cut.items():
+            if c * sign > 0:
+                listed[j].append(len(rows))
+        return listed
+
+    return {
+        "rows": rows,
+        "var_rows": [[ri for ri, read in enumerate(reads) if j in read] for j in range(n)],
+        "lo_readers": readers(1),
+        "hi_readers": readers(-1),
+        "tightest": list(tightest.items()),
+        "rows_contradict": any(
+            rhs + tightest.get(_naive_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
+        ),
+        "cut_opposite": tightest.get(_naive_opposite(cut_terms)),
+        "equalities": equalities,
+        "var_eqs": [[ei for ei, (key, _) in enumerate(equalities) if j in dict(key)] for j in range(n)],
+    }
+
+
+def _assert_single_pass_index(ins):
+    # the reference indexes the instance's rows, hands that index's rows to
+    # the presolve, and indexes sorted(extra | rows) again from scratch
+    program = _SearchProgram(ins, True)
+    n, cut_terms = program.n, program.cut_terms
+    index = {v: j for j, v in enumerate(ins.ids())}
+    raw = [(tuple((index[v], c) for v, c in row.terms), row.rhs) for row in ins.constraints]
+    first = _reference_index(raw, n, cut_terms)
+    extra = tdilp.solver._presolve_rows(first["rows"], program.obj)
+    want = _reference_index(sorted(extra.union(raw)), n, cut_terms)
+    got = {name: getattr(program, name) for name in want}
+    got["tightest"] = list(program.tightest.items())
+    for name in want:
+        assert got[name] == want[name], name
+    return extra
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle_graph(5), cycle_graph(6), cycle_graph(7), cycle_graph(8), complete_graph(4),
+     odd_wheel(), petersen()],
+    ids=["C5", "C6", "C7", "C8", "K4", "W5", "petersen"],
+)
+def test_search_program_indexes_once_as_two_passes_would(graph):
+    ins, _ = reduce_three_coloring(graph)
+    assert _assert_single_pass_index(ins)  # the presolve fires on every one
+
+
+@st.composite
+def remainder_programs(draw):
+    """Boxed instances with remainder rows g - p*m - r = 0, 0 <= r <= p-1,
+    m >= 0 and 0 <= g <= 3, so that every variable stays in [-3, 3].  The
+    first two share g and p, so the presolve always aliases their
+    remainders; a third block, a second g, an extra row and the objective
+    are drawn."""
+    b = InstanceBuilder()
+    gs = ["g0", "g1"][: draw(st.integers(1, 2))]
+    for g in gs:
+        b.add_ge({g: 1}, 0)
+        b.add_le({g: 1}, draw(st.integers(0, 3)))
+    p = draw(st.sampled_from([2, 3]))
+    blocks = [(gs[0], p), (gs[0], p)]
+    if len(gs) == 1 and draw(st.booleans()):
+        blocks.append((gs[0], draw(st.sampled_from([2, 3]))))
+    names = list(gs)
+    for i, (g, p) in enumerate(blocks):
+        m, r = f"m{i}", f"r{i}"
+        b.add_eq({g: 1, m: -p, r: -1}, 0)
+        b.add_ge({m: 1}, 0)
+        b.add_ge({r: 1}, 0)
+        b.add_le({r: 1}, p - 1)
+        names += [m, r]
+    coefficient = st.integers(min_value=-2, max_value=2)
+    if draw(st.booleans()):
+        coeffs = {name: draw(coefficient) for name in draw(st.permutations(names))[:2]}
+        if not any(coeffs.values()):
+            coeffs[names[0]] = 1
+        b.add_le(coeffs, draw(st.integers(min_value=-1, max_value=4)))
+    b.set_objective({name: draw(coefficient) for name in names})
+    return b.build()
+
+
+@given(remainder_programs())
+@settings(max_examples=60, deadline=10_000)
+def test_propagate_presolve_matches_plain_search_and_oracle(ins):
+    propagated = solve_core(ins, propagate=True)
+    plain = solve_core(ins, propagate=False)
+    want = brute_force_ilp(ins, box=3)
+    assert (propagated.status, propagated.value) == (plain.status, plain.value)
+    assert (propagated.status, propagated.value) == (want.status, want.value)
+    assert _assert_single_pass_index(ins)
+
+
+@given(box_programs())
+@settings(max_examples=100, deadline=None)
+def test_search_program_index_matches_two_passes_on_drawn_programs(case):
+    _assert_single_pass_index(case[0])

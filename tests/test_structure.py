@@ -30,7 +30,7 @@ from tdilp.structure import (
     verify_treedepth_decomposition,
     witness_from_json,
 )
-from tdilp.oracle import treedepth_reference
+from tdilp.oracle import induced_subgraph, treedepth_reference
 
 
 def test_graph_basics():
@@ -38,7 +38,7 @@ def test_graph_basics():
     assert g.n == 3 and g.n_edges == 2
     assert g.neighbors(2) == (1, 3)
     assert (1, 2) in g.edges and (1, 3) not in g.edges
-    assert g.subgraph([1, 2]).edges == frozenset({(1, 2)})
+    assert induced_subgraph(g, [1, 2]).edges == frozenset({(1, 2)})
 
 
 def test_connected_components():
