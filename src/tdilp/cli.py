@@ -7,17 +7,17 @@ error, 3 resource cap hit (a user-shrunk search box came up empty or its
 maximum is beaten outside it, oracle budget), 4 internal fault (a failed
 self-check or any other unexpected exception).
 
-The solve command's handler and grammar are here.  The grammar of every
-command and the other handlers are in ``commands``, which loads only when
-another command runs: each ``tdilp solve`` is a fresh process that
+The solve command's handler is here, with a strict reader of its plain
+spelling.  The grammar of every command (argparse) and the other handlers
+are in ``commands``, which loads only when another command runs or a solve
+is spelled any other way: each ``tdilp solve`` is a fresh process that
 compiles what it imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .instance import INT_RE, IlpError, IlpInstance, parse_instance
 from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, SolveOutcome
@@ -32,7 +32,8 @@ INTERNAL = 4
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_instance(path: str) -> IlpInstance:
@@ -64,50 +65,39 @@ def _cmd_solve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument grammar
+# the plain spelling of a solve
 
 
-def _int(text: str) -> int:
-    # the grammar of an instance file's right-hand side
-    if not INT_RE.fullmatch(text.strip()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
-def _positive(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _command_parser(**subparsers) -> tuple:
-    """The top-level parser and its subcommand action."""
-    parser = argparse.ArgumentParser(
-        prog="tdilp",
-        description="Structure-aware exact ILP toolkit: kernelize, solve, generate.",
-    )
-    return parser, parser.add_subparsers(dest="command", required=True, **subparsers)
-
-
-def _add_solve_parser(sub) -> None:
-    p = sub.add_parser("solve", help="kernelize, search, lift; prints outcome JSON")
-    p.add_argument("file")
-    p.add_argument("--td", help="treedepth witness JSON to use instead of computing one")
-    p.add_argument("--bound", type=_positive, help="override the certified search box radius")
-    p.add_argument("--propagate", action="store_true", help="presolve rewrites + domain-driven branching")
-
-
-def _solve_parser() -> argparse.ArgumentParser:
-    """The grammar of `tdilp solve` alone; commands.build_parser has every
-    command's.  Building all of them took about 3 ms of a cold solve.  The
-    metavar lists every command, so that a usage error prints the usage line
-    of the full grammar."""
-    parser, sub = _command_parser(
-        metavar="{analyze,solve,kernelize,lift,generate,verify,oracle,bounds}"
-    )
-    _add_solve_parser(sub)
-    return parser
+def _solve_args(argv: list[str]) -> SimpleNamespace | None:
+    """``solve FILE [--td W] [--bound N] [--propagate]`` read without
+    argparse, or None.  It accepts only argv that the full grammar
+    (``commands.build_parser``) reads the same way: each option at most
+    once, the value of --td and --bound in the next argument and not
+    starting with "-", a --bound that is a positive instance-file integer,
+    and one non-empty FILE that does not start with "-".  It never prints;
+    help, usage errors, --td=W, abbreviations and -- are left to the full
+    grammar."""
+    if argv[:1] != ["solve"]:
+        return None
+    args = {"command": "solve", "file": None, "td": None, "bound": None, "propagate": False}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--propagate" and not args["propagate"]:
+            args["propagate"] = True
+        elif arg in ("--td", "--bound") and args[arg[2:]] is None:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            if arg == "--bound":
+                if not INT_RE.fullmatch(value) or int(value) < 1:
+                    return None
+                value = int(value)
+            args[arg[2:]] = value
+        elif arg and not arg.startswith("-") and args["file"] is None:
+            args["file"] = arg
+        else:
+            return None
+    return None if args["file"] is None else SimpleNamespace(**args)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -117,11 +107,11 @@ def run(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # the top-level parser takes no option but -h, so a solve's first
-        # argument is "solve"; commands is imported only past this test, so
-        # that a solve never compiles it
-        if argv[:1] == ["solve"]:
-            return _cmd_solve(_solve_parser().parse_args(argv))
+        # commands (and argparse) is imported only past this test, so that a
+        # plainly spelled solve never compiles it
+        args = _solve_args(argv)
+        if args is not None:
+            return _cmd_solve(args)
         from .commands import HANDLERS, build_parser
 
         args = build_parser().parse_args(argv)

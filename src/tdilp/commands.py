@@ -1,8 +1,10 @@
 """The full command grammar and the handlers of every command but solve.
 
 Each command runs in a fresh process that compiles what it imports, so
-``cli.run`` imports this module only for a command other than solve, and
-a solve compiles none of it.
+``cli.run`` imports this module only for a command other than solve or for
+a solve that its strict reader leaves to this grammar (help, usage errors
+and every spelling but the plain one), and a plain solve compiles none of
+it.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from .cli import (
     NO,
     OK,
     RESOURCE,
-    _add_solve_parser,
-    _command_parser,
-    _int,
+    _cmd_solve,
     _load_instance,
     _load_witness,
     _outcome_exit,
-    _positive,
     _read,
 )
 from .formats import (
@@ -33,7 +32,7 @@ from .formats import (
     verify_tree_decomposition,
     witness_to_json,
 )
-from .instance import IlpError, max_abs_coefficient, serialize_instance
+from .instance import INT_RE, IlpError, max_abs_coefficient, serialize_instance
 from .kernelizer import kernelize, lift_solution
 from .structure import (
     StructureError,
@@ -209,6 +208,7 @@ def _cmd_bounds(args) -> int:
 
 HANDLERS = {
     "analyze": _cmd_analyze,
+    "solve": _cmd_solve,
     "kernelize": _cmd_kernelize,
     "lift": _cmd_lift,
     "generate": _cmd_generate,
@@ -216,6 +216,24 @@ HANDLERS = {
     "oracle": _cmd_oracle,
     "bounds": _cmd_bounds,
 }
+
+
+# ---------------------------------------------------------------------------
+# argument grammar
+
+
+def _int(text: str) -> int:
+    # the grammar of an instance file's right-hand side
+    if not INT_RE.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -227,13 +245,21 @@ def _int_list(text: str) -> list[int]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The grammar of every command, in the order `tdilp --help` lists them."""
-    parser, sub = _command_parser()
+    parser = argparse.ArgumentParser(
+        prog="tdilp",
+        description="Structure-aware exact ILP toolkit: kernelize, solve, generate.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="instance and primal-graph statistics")
     p.add_argument("file")
     p.add_argument("--witness-out", help="write the computed treedepth witness here")
 
-    _add_solve_parser(sub)
+    p = sub.add_parser("solve", help="kernelize, search, lift; prints outcome JSON")
+    p.add_argument("file")
+    p.add_argument("--td", help="treedepth witness JSON to use instead of computing one")
+    p.add_argument("--bound", type=_positive, help="override the certified search box radius")
+    p.add_argument("--propagate", action="store_true", help="presolve rewrites + domain-driven branching")
 
     p = sub.add_parser("kernelize", help="write the pruned instance and its trace")
     p.add_argument("file")

@@ -11,7 +11,7 @@ stays in ``structure``.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .kernelizer import KernelError, TraceStep
 from .structure import ROOT, Graph, StructureError, TreedepthDecomposition

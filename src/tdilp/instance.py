@@ -23,7 +23,7 @@ variables alive that appear in no constraint.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class IlpError(Exception):

@@ -15,7 +15,7 @@ then a backtracking bijection search certifies or refutes each pair.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .instance import IlpError, IlpInstance, LinearConstraint, Record, omit_variables
 from .structure import (

@@ -8,8 +8,8 @@ vocabulary is plain data: instances, graphs, decompositions, outcomes.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .instance import IlpError, IlpInstance, LinearConstraint
 from .outcome import INFEASIBLE, OPTIMAL, SolveOutcome

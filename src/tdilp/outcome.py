@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .instance import Record
 
 OPTIMAL = "optimal"
@@ -49,19 +47,52 @@ class SolveOutcome(Record):
         object.__setattr__(self, "original_vars", original_vars)
 
     def to_json(self, name_of=None) -> str:
-        """Render for the CLI; ``name_of`` maps variable ids to names."""
-        doc: dict = {"status": self.status, "value": self.value}
+        """Render for the CLI; ``name_of`` maps variable ids to names.
+
+        The text is exactly ``json.dumps(doc, indent=2)`` of the outcome's
+        fields, written without the json module, which a plain solve would
+        otherwise import only for this.
+        """
+        fields = [("status", _json_str(self.status)), ("value", _json_int(self.value))]
         if self.assignment is None:
-            doc["assignment"] = None
+            fields.append(("assignment", "null"))
         else:
-            if name_of is None:
-                doc["assignment"] = {str(k): v for k, v in sorted(self.assignment.items())}
-            else:
-                doc["assignment"] = {
-                    name_of(k): v for k, v in sorted(self.assignment.items())
-                }
+            name = str if name_of is None else name_of
+            named = {name(k): v for k, v in sorted(self.assignment.items())}
+            rows = ",\n".join(f"    {_json_str(k)}: {v}" for k, v in named.items())
+            fields.append(("assignment", "{\n" + rows + "\n  }" if rows else "{}"))
         if self.kernel_vars is not None:
-            doc["kernel_vars"] = self.kernel_vars
+            fields.append(("kernel_vars", _json_int(self.kernel_vars)))
         if self.original_vars is not None:
-            doc["original_vars"] = self.original_vars
-        return json.dumps(doc, indent=2, sort_keys=False)
+            fields.append(("original_vars", _json_int(self.original_vars)))
+        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}"
+
+
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
+}
+
+
+def _json_str(text: str) -> str:
+    """``text`` as a JSON string the way json.dumps writes it (ensure_ascii):
+    printable ASCII as is, the short escapes above, every other code point
+    as ``\\uXXXX`` (a UTF-16 surrogate pair above U+FFFF)."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    parts = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            parts.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            parts.append(ch)
+        elif code < 0x10000:
+            parts.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            parts.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(parts) + '"'

@@ -9,12 +9,12 @@ off the solve path.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterable, Mapping
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .instance import IlpError, IlpInstance
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .formats import TreeDecompositionWitness
 
@@ -346,6 +346,8 @@ def _is_int_list(value) -> bool:
 
 
 def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWitness:
+    import json  # only a solve given --td reads JSON
+
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

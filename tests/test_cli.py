@@ -1,16 +1,32 @@
 """The command-line surface, driven through run() for speed."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdilp
-from tdilp.cli import _solve_parser, run
+import tdilp.cli
+from tdilp import (
+    InstanceBuilder,
+    check_feasible,
+    evaluate_objective,
+    parse_instance,
+    serialize_instance,
+    solve_pipeline,
+)
+from tdilp.cli import run
 from tdilp.commands import build_parser
+from tdilp.oracle import brute_force_ilp
 
 TWO_BLOCKS = (
     "max: z\n"
@@ -275,7 +291,16 @@ SOLVE_PATH = {
 }
 
 
-def test_cli_import_leaves_numpy_out(two_blocks):
+def _imported(stderr: str) -> set[str]:
+    # -X importtime writes a line to stderr for every module the run imports
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
     # every `tdilp solve` is a fresh process that compiles what it imports,
     # so the CLI loads the oracles (and numpy), the generators,
     # dataclasses and every other command's code only for the commands
@@ -291,27 +316,78 @@ def test_cli_import_leaves_numpy_out(two_blocks):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", repr(sorted(SOLVE_PATH))]
 
-    # -X importtime writes a line to stderr for every module the run imports
     solve = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks],
         env=env, capture_output=True, text=True,
     )
     assert solve.returncode == 0, solve.stderr
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in solve.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    imported = _imported(solve.stderr)
     assert "tdilp.solver" in imported
     assert {m for m in imported if m.split(".")[0] == "tdilp"} <= SOLVE_PATH
     assert not imported & set(unwanted)
+
+    # a plain solve reads its arguments without argparse and writes its JSON
+    # without json; -S keeps what `site` preloads (typing, pathlib, ...) out
+    witness = tmp_path / "w.json"
+    assert run(["analyze", two_blocks, "--witness-out", str(witness)]) == 0
+    stdlib = {"argparse", "gettext", "locale", "json", "typing", "pathlib"}
+    for flags, wanted in [([], set()), (["--td", str(witness)], {"json"})]:
+        bare = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks, *flags],
+            env=env, capture_output=True, text=True,
+        )
+        assert bare.returncode == 0, bare.stderr
+        assert _imported(bare.stderr) & stdlib == wanted
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """A directory holding x.ilp, -x.ilp and a witness w.json for x.ilp, so
+    that the argv below name files that exist."""
+    d = tmp_path_factory.mktemp("argv")
+    for name in ("x.ilp", "-x.ilp"):
+        (d / name).write_text(TWO_BLOCKS)
+    (d / "w.json").write_text(json.dumps({"kind": "treedepth", "parent": [-1, 0, 0]}))
+    return d
+
+
+def _run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_reader(argv: list[str], where: Path):
+    """An argv that the strict solve reader accepts reads as the full grammar
+    reads it, and run() exits and prints exactly as it does with the reader
+    off, that is with every argv left to the full grammar.  Returns what
+    the reader read."""
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        read = tdilp.cli._solve_args(argv)
+        if read is not None:
+            assert vars(read) == vars(build_parser().parse_args(argv))
+        got = _run_captured(argv)
+        with mock.patch.object(tdilp.cli, "_solve_args", lambda argv: None):
+            want = _run_captured(argv)
+    finally:
+        os.chdir(cwd)
+    assert got == want
+    return read
+
+
+PLAIN_SOLVES = (
+    ["solve", "x.ilp"],
+    ["solve", "x.ilp", "--td", "w.json", "--bound", "3", "--propagate"],
+)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "x.ilp"],
-        ["solve", "x.ilp", "--td", "w.json", "--bound", "3", "--propagate"],
+        *PLAIN_SOLVES,
         ["solve"],
         ["solve", "x.ilp", "--bogus"],
         ["solve", "x.ilp", "extra"],
@@ -319,17 +395,42 @@ def test_cli_import_leaves_numpy_out(two_blocks):
         ["solve", "-h"],
     ],
 )
-def test_solve_grammar_matches_the_full_grammar(argv, capsys):
-    # a solve builds only its own parser, which must parse, fail and print
-    # exactly as the grammar of every command does
-    results = []
-    for build in (_solve_parser, build_parser):
-        try:
-            parsed, code = vars(build().parse_args(argv)), None
-        except SystemExit as exc:
-            parsed, code = None, exc.code
-        results.append((parsed, code, capsys.readouterr()))
-    assert results[0] == results[1]
+def test_solve_grammar_matches_the_full_grammar(argv_dir, argv):
+    # a plain solve reads its argv without argparse; every other argv, and
+    # every usage error and help text, is the full grammar's
+    assert (_check_reader(argv, argv_dir) is not None) == (argv in PLAIN_SOLVES)
+
+
+ARGV_WORDS = [
+    "solve", "x.ilp", "-x.ilp", "", "-", "--td", "--td=w.json", "--bound", "3", "0", "-5",
+    "+5", " 5", "007", "1_0", "\u0663", "--propagate", "--prop", "--", "-h", "--help", "extra",
+]
+
+
+@st.composite
+def solve_argvs(draw):
+    """Words of ARGV_WORDS, most often shaped like a solve: "solve" first,
+    options, --td and --bound each followed by a word as its value (for
+    --bound often an integer spelling), and one or two FILE words (often
+    x.ilp)."""
+    word = st.sampled_from(ARGV_WORDS)
+    integer = st.sampled_from(["3", "0", "-5", "+5", " 5", "007", "1_0", "\u0663"])
+    option = st.one_of(
+        st.tuples(st.just("--bound"), st.one_of(integer, word)).map(list),
+        st.tuples(st.just("--td"), word).map(list),
+        st.just(["--propagate"]),
+    )
+    parts = draw(st.lists(option, max_size=3))
+    for positional in draw(st.lists(st.one_of(st.just("x.ilp"), word), min_size=1, max_size=2)):
+        parts.insert(draw(st.integers(0, len(parts))), [positional])
+    lead = ["solve"] if draw(st.integers(0, 9)) else []
+    return lead + [w for part in parts for w in part]
+
+
+@given(solve_argvs())
+@settings(max_examples=500, deadline=5_000)
+def test_solve_reader_matches_the_full_grammar_on_any_argv(argv_dir, argv):
+    _check_reader(argv, argv_dir)
 
 
 def test_public_names_resolve_lazily():
@@ -503,3 +604,73 @@ def test_determinism_byte_for_byte(two_blocks, triangle, capsys):
         assert run(["generate", "3col", "--graph", triangle]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+@st.composite
+def boxed_blocks(draw):
+    """A hub z beside 2-4 objective-free one-variable blocks drawn from at
+    most two shapes, so that kernelize often prunes twins, and maybe one row
+    across them.  Every variable lies in [-2, 3], so the oracle's sweep of
+    the box of radius 3 is exact."""
+    small = st.integers(min_value=-2, max_value=2)
+    b = InstanceBuilder()
+    b.add_le({"z": 1}, draw(st.integers(min_value=-2, max_value=3)))
+    b.add_ge({"z": 1}, -2)
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 1)), min_size=1, max_size=2))
+    names = ["z"]
+    for i in range(draw(st.integers(min_value=2, max_value=4))):
+        cap, link = draw(st.sampled_from(shapes))
+        b.add_le({f"a{i}": 1}, cap)
+        b.add_ge({f"a{i}": 1}, -2)
+        b.add_le({"z": 1, f"a{i}": -1}, link)
+        names.append(f"a{i}")
+    if draw(st.integers(0, 3)) == 0:
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        b.add_le({u: draw(small), v: draw(small) or 1}, draw(st.integers(-2, 4)))
+    b.set_objective({"z": draw(small)})
+    return serialize_instance(b.build())
+
+
+@given(boxed_blocks())
+@settings(max_examples=60, deadline=5_000)
+def test_cli_solve_matches_the_library_and_the_oracle(text):
+    instance = parse_instance(text)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.ilp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = _run_captured(["solve", path])
+    outcome, _ = solve_pipeline(instance)
+    assert (out, err) == (outcome.to_json(name_of=instance.name_of) + "\n", "")
+    assert code == (1 if outcome.status == "infeasible" else 0)
+    want = brute_force_ilp(instance, 3)
+    assert (outcome.status, outcome.value) == (want.status, want.value)
+
+
+@given(boxed_blocks())
+@settings(max_examples=40, deadline=5_000)
+def test_cli_kernelize_solve_lift_matches_a_direct_solve(text):
+    instance = parse_instance(text)
+    direct, _ = solve_pipeline(instance)
+    with tempfile.TemporaryDirectory() as d:
+        path, kernel, trace, sol = (os.path.join(d, f) for f in ("in.ilp", "k.ilp", "t.json", "s.json"))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert _run_captured(["kernelize", path, "-o", kernel, "--trace", trace])[0] == 0
+        code, out, _ = _run_captured(["solve", kernel])
+        solved = json.loads(out)
+        assert (solved["status"], solved["value"]) == (direct.status, direct.value)
+        if direct.status == "infeasible":
+            assert code == 1
+            return
+        with open(sol, "w", encoding="utf-8") as fh:
+            fh.write(out)
+        code, out, _ = _run_captured(["lift", "--trace", trace, "--solution", sol])
+    assert code == 0
+    lifted = json.loads(out)
+    assert (lifted["status"], lifted["value"]) == (direct.status, direct.value)
+    assignment = lifted["assignment"]
+    assert len(assignment) == instance.n_variables
+    by_id = {v: assignment[instance.name_of(v)] for v in range(instance.n_variables)}
+    assert check_feasible(instance, by_id)
+    assert evaluate_objective(instance, by_id) == direct.value

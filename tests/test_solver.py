@@ -348,6 +348,60 @@ def test_outcome_json_shape():
     assert named["assignment"] == {"x": 5}
 
 
+# names that json.dumps escapes: quotes, backslashes, the short escapes,
+# other control characters, DEL, non-ASCII, non-BMP and a lone surrogate
+_NAME_CHARS = '"\\\b\f\n\r\t\x00\x01\x1f ~\x7f\x80\u00e9\u2028\uffff\U00010000\U0010ffff\ud800'
+_names = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('ab "\\~'), max_size=6),  # printable ASCII only
+    st.text(st.sampled_from(_NAME_CHARS), max_size=6),
+)
+# past the 4,300 digits that int <-> str allows by default
+_huge = st.builds(lambda digits, sign: sign * (10**digits - 3), st.integers(4300, 4400), st.sampled_from([1, -1]))
+_ints = st.one_of(st.integers(), _huge)
+
+
+@st.composite
+def outcomes_and_names(draw):
+    status = draw(st.sampled_from(["optimal", "infeasible", "unbounded", "bound_exhausted", "box_optimal"]))
+    value = assignment = None
+    if status in ("optimal", "box_optimal"):
+        value = draw(_ints)
+        assignment = draw(st.dictionaries(st.integers(0, 40), _ints, max_size=5))
+    counts = st.one_of(st.none(), st.integers(0, 10**6))
+    outcome = SolveOutcome(status, value, assignment, draw(counts), draw(counts))
+    name_of = None
+    if assignment is not None and draw(st.booleans()):
+        keys = sorted(assignment)
+        name_of = dict(zip(keys, draw(st.lists(_names, min_size=len(keys), max_size=len(keys))))).get
+    return outcome, name_of
+
+
+@given(outcomes_and_names())
+@settings(max_examples=300, deadline=None)
+def test_outcome_json_is_the_bytes_of_json_dumps(drawn):
+    import json
+
+    outcome, name_of = drawn
+    name = str if name_of is None else name_of
+    doc = {"status": outcome.status, "value": outcome.value, "assignment": None}
+    if outcome.assignment is not None:
+        doc["assignment"] = {name(k): v for k, v in sorted(outcome.assignment.items())}
+    if outcome.kernel_vars is not None:
+        doc["kernel_vars"] = outcome.kernel_vars
+    if outcome.original_vars is not None:
+        doc["original_vars"] = outcome.original_vars
+    # lifted as cli.run lifts it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert outcome.to_json(name_of=name_of) == json.dumps(doc, indent=2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_determinism():
     text = "max: x + 2 y\nx + y <= 4\n-x <= 2\n-y <= 1\n"
     first = solve_core(_parse(text))
