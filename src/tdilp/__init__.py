@@ -21,7 +21,6 @@ from .instance import (
     max_abs_coefficient,
     omit_variables,
     parse_instance,
-    serialize_instance,
 )
 from .kernelizer import EquivalenceWitness, KernelError, TraceStep, kernelize, lift_solution
 from .outcome import SolveOutcome
@@ -31,7 +30,6 @@ from .structure import (
     StructureError,
     TreedepthDecomposition,
     build_primal_graph,
-    compute_treedepth_exact,
     decompose,
     dfs_treedepth_heuristic,
     verify_treedepth_decomposition,
@@ -44,10 +42,12 @@ _LAZY = {
     "Astronomical": "bounds",
     "KernelBounds": "bounds",
     "compute_bounds": "bounds",
+    "compute_treedepth_exact": "bounds",
     "format_bound": "bounds",
     "TreeDecompositionWitness": "formats",
     "parse_graph_file": "formats",
     "serialize_graph": "formats",
+    "serialize_instance": "formats",
     "trace_from_json": "formats",
     "trace_to_json": "formats",
     "treedepth_to_tree_decomposition": "formats",

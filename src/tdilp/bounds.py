@@ -1,12 +1,14 @@
-"""The paper's worst-case kernel-size ladder, for ``tdilp bounds``.
+"""What ``tdilp bounds`` and ``tdilp analyze`` report beyond a solve: the
+paper's worst-case kernel-size ladder and exact treedepth.
 
-No solve reads it: every ``tdilp solve`` is a fresh process that compiles
-what it imports, so the ladder lives outside the kernelizer.
+No solve reads either: every ``tdilp solve`` is a fresh process that
+compiles what it imports, so both live outside the solve path.
 """
 
 from __future__ import annotations
 
 from .instance import Record
+from .structure import ROOT, Graph, StructureError, TreedepthDecomposition
 
 MAX_EXACT_BITS = 1_000_000
 NOTE_LIMIT = 80  # characters; a longer note prints as HUGE
@@ -106,3 +108,81 @@ def format_bound(value: int | Astronomical) -> str:
             return str(value)
         return f"~2^{value.bit_length() - 1} ({value.bit_length()} bits)"
     return str(value)
+
+
+# ---------------------------------------------------------------------------
+# exact treedepth
+
+
+def _components_within(vset: frozenset[int], graph: Graph) -> list[frozenset[int]]:
+    seen: set[int] = set()
+    comps: list[frozenset[int]] = []
+    for s in sorted(vset):
+        if s in seen:
+            continue
+        comp = {s}
+        seen.add(s)
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in graph.neighbors(v):
+                if w in vset and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, TreedepthDecomposition]:
+    """Optimal treedepth with a witness, by the standard recursion:
+    1 for a single vertex, 1 + min over deleted vertices when connected,
+    max over components otherwise.  Memoized on vertex subsets; deletion
+    candidates are tried in ascending id and the first optimum is kept.
+    """
+    if graph.n > cap:
+        raise StructureError(
+            f"exact treedepth is capped at {cap} vertices, got {graph.n}"
+        )
+    memo: dict[frozenset[int], tuple[int, dict[int, int]]] = {}
+
+    def solve_connected(vset: frozenset[int]) -> tuple[int, dict[int, int]]:
+        if len(vset) == 1:
+            (v,) = vset
+            return 1, {v: ROOT}
+        hit = memo.get(vset)
+        if hit is not None:
+            return hit
+        best = len(vset) + 1
+        best_wit: dict[int, int] | None = None
+        for v in sorted(vset):
+            rest = vset - {v}
+            partial = 0
+            parts: list[dict[int, int]] = []
+            viable = True
+            for comp in _components_within(rest, graph):
+                h, wit = solve_connected(comp)
+                partial = max(partial, h)
+                parts.append(wit)
+                if partial + 1 >= best:
+                    viable = False
+                    break
+            if viable and partial + 1 < best:
+                best = partial + 1
+                merged = {v: ROOT}
+                for wit in parts:
+                    for u, p in wit.items():
+                        merged[u] = v if p == ROOT else p
+                best_wit = merged
+        assert best_wit is not None
+        memo[vset] = (best, best_wit)
+        return memo[vset]
+
+    forest: dict[int, int] = {}
+    height = 0
+    for comp in graph.connected_components():
+        h, wit = solve_connected(frozenset(comp))
+        forest.update(wit)
+        height = max(height, h)
+    decomposition = TreedepthDecomposition(forest)
+    return height, decomposition

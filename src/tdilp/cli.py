@@ -5,7 +5,7 @@ exit code is scriptable: 0 success, 1 negative verdict (infeasible
 instance, failed witness, "false" oracle answer), 2 usage or input
 error, 3 resource cap hit (a user-shrunk search box came up empty or its
 maximum is beaten outside it, oracle budget), 4 internal fault (a failed
-self-check or any other unexpected exception).
+self-check, any other unexpected exception, or stdout refusing an outcome).
 
 The solve command's handler is here, with a strict reader of its plain
 spelling.  The grammar of every command (argparse) and the other handlers
@@ -44,7 +44,19 @@ def _load_witness(path: str | None):
     return None if path is None else witness_from_json(_read(path))
 
 
-def _outcome_exit(outcome: SolveOutcome) -> int:
+def _write_outcome(outcome: SolveOutcome, name_of) -> int:
+    """Print the outcome and return its exit code.  If stdout refuses it (no input
+    error), stdout goes to the null device, so the flush at exit cannot fail."""
+    text = outcome.to_json(name_of=name_of)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        print(f"error: cannot write the outcome: {exc}", file=sys.stderr)
+        import os  # only a failed write loads it
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return INTERNAL
     if outcome.status == INFEASIBLE:
         return NO
     if outcome.status in (BOUND_EXHAUSTED, BOX_OPTIMAL):
@@ -60,8 +72,7 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.file)
     witness = _load_witness(args.td)
     outcome, _ = solve_pipeline(instance, witness, propagate=args.propagate, bound=args.bound)
-    print(outcome.to_json(name_of=instance.name_of))
-    return _outcome_exit(outcome)
+    return _write_outcome(outcome, instance.name_of)
 
 
 # ---------------------------------------------------------------------------

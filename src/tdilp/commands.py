@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import compute_bounds, format_bound
+from .bounds import compute_bounds, compute_treedepth_exact, format_bound
 from .cli import (
     NO,
     OK,
@@ -22,23 +22,23 @@ from .cli import (
     _cmd_solve,
     _load_instance,
     _load_witness,
-    _outcome_exit,
     _read,
+    _write_outcome,
 )
 from .formats import (
     parse_graph_file,
+    serialize_instance,
     trace_from_json,
     trace_to_json,
     verify_tree_decomposition,
     witness_to_json,
 )
-from .instance import INT_RE, IlpError, max_abs_coefficient, serialize_instance
+from .instance import INT_RE, IlpError, max_abs_coefficient
 from .kernelizer import kernelize, lift_solution
 from .structure import (
     StructureError,
     TreedepthDecomposition,
     build_primal_graph,
-    compute_treedepth_exact,
     decompose,
     dfs_treedepth_heuristic,
     verify_treedepth_decomposition,
@@ -178,8 +178,7 @@ def _cmd_oracle(args) -> int:
         if args.oracle == "ilp":
             instance = _load_instance(args.file)
             outcome = brute_force_ilp(instance, args.box)
-            print(outcome.to_json(name_of=instance.name_of))
-            return _outcome_exit(outcome)
+            return _write_outcome(outcome, instance.name_of)
         if args.oracle == "subsetsum":
             verdict = subset_sum_dp(SubsetSumInstance(tuple(args.values), args.target))
         elif args.oracle == "3col":

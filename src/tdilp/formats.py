@@ -1,11 +1,12 @@
 """File formats and witnesses that no solve reads.
 
-Kernel traces (written by ``tdilp kernelize``, read by ``tdilp lift``),
-witness output, graph files, and tree decompositions (bags), which the
-generators emit as verifiable side artifacts.  Every ``tdilp solve`` is a
-fresh process that compiles what it imports, so this code lives outside
-the solve path; the one reader a solve needs, ``witness_from_json``,
-stays in ``structure``.
+The instance text writer, kernel traces (written by ``tdilp kernelize``,
+read by ``tdilp lift``), witness output, graph files, and tree
+decompositions (bags), which the generators emit as verifiable side
+artifacts.  Every ``tdilp solve`` is a fresh process that compiles what it
+imports, so this code lives outside the solve path; the one reader a solve
+needs, ``witness_from_json``, stays in ``structure`` and loads this module
+only for a bag witness.
 """
 
 from __future__ import annotations
@@ -13,8 +14,57 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 
+from .instance import IlpInstance
 from .kernelizer import KernelError, TraceStep
-from .structure import ROOT, Graph, StructureError, TreedepthDecomposition
+from .structure import ROOT, Graph, StructureError, TreedepthDecomposition, _is_int_list
+
+# ---------------------------------------------------------------------------
+# instance text
+
+
+def _format_terms(pairs: list[tuple[str, int]]) -> str:
+    if not pairs:
+        return "0"
+    chunks: list[str] = []
+    for idx, (name, coeff) in enumerate(pairs):
+        mag = abs(coeff)
+        body = name if mag == 1 else f"{mag} {name}"
+        if coeff == 0:
+            body = f"0 {name}"
+        if idx == 0:
+            chunks.append(body if coeff >= 0 else f"-{body}")
+        else:
+            chunks.append(("+ " if coeff >= 0 else "- ") + body)
+    return " ".join(chunks)
+
+
+def serialize_instance(instance: IlpInstance) -> str:
+    """Canonical text: objective first, constraint lines sorted, terms by id.
+
+    Variables that occur in no constraint and not in the objective are
+    kept alive as zero-coefficient objective terms.
+    """
+    used: set[int] = set()
+    for c in instance.constraints:
+        used.update(c.variables())
+    used.update(instance.objective.variables())
+
+    obj_pairs: list[tuple[str, int]] = []
+    coeffs = dict(instance.objective.terms)
+    for v in instance.variables:
+        if v.id in coeffs:
+            obj_pairs.append((v.name, coeffs[v.id]))
+        elif v.id not in used:
+            obj_pairs.append((v.name, 0))
+    lines = [f"max: {_format_terms(obj_pairs)}"]
+
+    rendered = []
+    for c in instance.constraints:
+        pairs = [(instance.name_of(v), coeff) for v, coeff in c.terms]
+        rendered.append(f"{_format_terms(pairs)} <= {c.rhs}")
+    lines.extend(sorted(rendered))
+    return "\n".join(lines) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # tree decompositions
@@ -68,6 +118,15 @@ def verify_tree_decomposition(graph: Graph, witness: TreeDecompositionWitness) -
 
 # ---------------------------------------------------------------------------
 # witness and graph files
+
+
+def _witness_bags(parent: dict[int, int], bag_list) -> TreeDecompositionWitness:
+    """The bags of a treewidth witness file, for ``witness_from_json``."""
+    if not isinstance(bag_list, list) or len(bag_list) != len(parent):
+        raise StructureError("witness 'bags' must be a list matching 'parent'")
+    if not all(_is_int_list(bag) for bag in bag_list):
+        raise StructureError("each witness bag must be a list of integers")
+    return TreeDecompositionWitness(parent, {i: frozenset(b) for i, b in enumerate(bag_list)})
 
 
 def witness_to_json(witness: TreedepthDecomposition | TreeDecompositionWitness) -> str:

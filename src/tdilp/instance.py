@@ -415,6 +415,14 @@ def _to_int(text: str, line_no: int) -> int:
 _REL_RE = re.compile(r"(<=|>=|==|=|<|>)")
 
 
+def _objective_text(line: str, line_no: int) -> str:
+    """The expression on a stripped ``max: <expression>`` line (lstrip drops what \\s matches)."""
+    rest = line[3:].lstrip()
+    if not (line.startswith("max") and rest.startswith(":")):
+        raise IlpSyntaxError("first line must be 'max: <expression>'", line_no)
+    return rest[1:].lstrip()
+
+
 def parse_instance(text: str) -> IlpInstance:
     """Parse the text format into a normalized instance.
 
@@ -435,10 +443,7 @@ def parse_instance(text: str) -> IlpInstance:
         if not line:
             continue
         if objective_terms is None:
-            m = re.match(r"max\s*:\s*(.*)$", line)
-            if not m:
-                raise IlpSyntaxError("first line must be 'max: <expression>'", line_no)
-            objective_terms, constant = _parse_linexpr(m.group(1), line_no, declared)
+            objective_terms, constant = _parse_linexpr(_objective_text(line, line_no), line_no, declared)
             if constant != 0:
                 raise IlpSyntaxError("objective must not contain a constant term", line_no)
             continue
@@ -464,54 +469,6 @@ def parse_instance(text: str) -> IlpInstance:
         raise IlpSyntaxError("constraint has no variables", empty_row)
     builder._objective = objective_terms
     return builder.build()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _format_terms(pairs: list[tuple[str, int]]) -> str:
-    if not pairs:
-        return "0"
-    chunks: list[str] = []
-    for idx, (name, coeff) in enumerate(pairs):
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag} {name}"
-        if coeff == 0:
-            body = f"0 {name}"
-        if idx == 0:
-            chunks.append(body if coeff >= 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if coeff >= 0 else "- ") + body)
-    return " ".join(chunks)
-
-
-def serialize_instance(instance: IlpInstance) -> str:
-    """Canonical text: objective first, constraint lines sorted, terms by id.
-
-    Variables that occur in no constraint and not in the objective are
-    kept alive as zero-coefficient objective terms.
-    """
-    used: set[int] = set()
-    for c in instance.constraints:
-        used.update(c.variables())
-    used.update(instance.objective.variables())
-
-    obj_pairs: list[tuple[str, int]] = []
-    coeffs = dict(instance.objective.terms)
-    for v in instance.variables:
-        if v.id in coeffs:
-            obj_pairs.append((v.name, coeffs[v.id]))
-        elif v.id not in used:
-            obj_pairs.append((v.name, 0))
-    lines = [f"max: {_format_terms(obj_pairs)}"]
-
-    rendered = []
-    for c in instance.constraints:
-        pairs = [(instance.name_of(v), coeff) for v, coeff in c.terms]
-        rendered.append(f"{_format_terms(pairs)} <= {c.rhs}")
-    lines.extend(sorted(rendered))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

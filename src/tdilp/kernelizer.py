@@ -7,9 +7,10 @@ If neither subtree carries an objective variable, T_y can be dropped
 without changing feasibility or the optimal value, and any solution of
 the smaller instance lifts back by copying values through delta.
 
-The search for a renaming runs in two stages: cheap renaming-invariant
-signatures group the candidates (equivalent subtrees always hash alike),
-then a backtracking bijection search certifies or refutes each pair.
+Each sibling's touching rows are viewed once; the views give a
+renaming-invariant signature that groups the candidates (equivalent
+subtrees always collide).  The renaming that keeps the variables' order
+certifies a pair of a group when it works, a backtracking search otherwise.
 """
 
 from __future__ import annotations
@@ -80,133 +81,131 @@ def constraints_touching(instance: IlpInstance, Y: Iterable[int]) -> tuple[Linea
 
 def _constraint_view(constraint: LinearConstraint, inside: set[int]):
     """What a constraint looks like when the inside variables lose their names."""
-    outside = tuple([(v, k) for v, k in constraint.terms if v not in inside])
-    inner = tuple(sorted([k for v, k in constraint.terms if v in inside]))
-    return (outside, inner, constraint.rhs)
+    outside, inner = [], []
+    for v, k in constraint.terms:
+        if v in inside:
+            inner.append(k)
+        else:
+            outside.append((v, k))
+    inner.sort()
+    return (tuple(outside), tuple(inner), constraint.rhs)
 
 
-def _signature(inside: set[int], rows: Iterable[LinearConstraint]) -> tuple:
-    return (len(inside), tuple(sorted(_constraint_view(c, inside) for c in rows)))
+class _Sibling:
+    """A sibling subtree (sorted variables) and its touching rows, each viewed once
+    for the signature; only siblings whose signatures collide are compared."""
+
+    __slots__ = ("nodes", "rows", "inside", "views", "signature", "form",
+                 "var_sig", "var_rows", "pending", "keys", "pools", "free")
+
+    def __init__(self, nodes: tuple[int, ...], rows: tuple[LinearConstraint, ...]):
+        self.nodes, self.rows, self.inside = nodes, rows, set(nodes)
+        self.views = [_constraint_view(c, self.inside) for c in rows]
+        self.signature = (len(nodes), tuple(sorted(self.views)))
+        self.form = self.var_sig = None
+
+    def ordered_form(self) -> frozenset:
+        """The rows with the i-th smallest variable written as -1 - i (ids are not
+        negative): equal forms make twins under the order-keeping renaming."""
+        if self.form is None:
+            slot = {v: -1 - i for i, v in enumerate(self.nodes)}.get
+            self.form = frozenset(
+                (tuple(sorted([(slot(v, v), k) for v, k in c.terms])), c.rhs) for c in self.rows
+            )
+        return self.form
+
+    def index(self, sig_ids: dict[tuple, int]) -> None:
+        """Both sides of a search, from the views: per-variable signatures as ids
+        in sig_ids, the rows a renaming reads, and the keys and pools it targets."""
+        inside, views = self.inside, self.views
+        entries: dict[int, list] = {v: [] for v in self.nodes}
+        self.var_rows = var_rows = {v: [] for v in self.nodes}
+        for ci, c in enumerate(self.rows):
+            for v, coeff in c.terms:
+                if v in inside:
+                    entries[v].append((coeff, views[ci]))
+                    var_rows[v].append(ci)
+        self.pending = [len(inner) for _, inner, _ in views]
+        number = sig_ids.setdefault
+        self.var_sig = {v: number(tuple(sorted(e)), len(sig_ids)) for v, e in entries.items()}
+        self.pools: dict[int, list[int]] = {}
+        for w, sig in self.var_sig.items():
+            self.pools.setdefault(sig, []).append(w)
+        # per pool, the sorted positions of candidates not placed yet (the
+        # next one is a binary search away); a failed search puts all back
+        self.free = {sig: list(range(len(pool))) for sig, pool in self.pools.items()}
+        self.keys = {(c.terms, c.rhs) for c in self.rows}
 
 
 def subtree_signature(instance: IlpInstance, nodes: Iterable[int]) -> tuple:
     """Renaming-invariant fingerprint of a subtree: equivalent subtrees
     always collide; the converse is settled by test_equivalence."""
-    inside = set(nodes)
-    return _signature(inside, constraints_touching(instance, inside))
-
-
-def _variable_signatures(
-    inside: set[int], rows: Iterable[LinearConstraint]
-) -> dict[int, tuple]:
-    """Per-variable renaming-invariant fingerprints within one subtree."""
-    entries: dict[int, list] = {v: [] for v in inside}
-    for c in rows:
-        view = _constraint_view(c, inside)
-        for v, coeff in c.terms:
-            if v in inside:
-                entries[v].append((coeff, view))
-    return {v: tuple(sorted(e)) for v, e in entries.items()}
-
-
-def _renamed_key(c: LinearConstraint, delta: Mapping[int, int]):
-    """sort_key of the renamed constraint, or None if the rename
-    cancelled every term (never a match, but not an error either)."""
-    try:
-        return c.renamed(delta).sort_key()
-    except IlpError:
-        return None
+    nodes = tuple(sorted(set(nodes)))
+    return _Sibling(nodes, constraints_touching(instance, nodes)).signature
 
 
 # ---------------------------------------------------------------------------
 # equivalence testing
 
 
-def _find_renaming(
-    X: tuple[int, ...],
-    fx: tuple[LinearConstraint, ...],
-    Y: tuple[int, ...],
-    fy: tuple[LinearConstraint, ...],
-) -> dict[int, int] | None:
+def _find_renaming(x: _Sibling, y: _Sibling, sig_ids: dict[tuple, int]) -> dict[int, int] | None:
     """The certified bijection search behind every equivalence verdict.
 
-    X and Y are the sorted variables of two sibling subtrees with equal
-    signatures, fx and fy the rows touching each.  Returns the first
-    renaming delta: X -> Y, in ascending-id order of X and of each
-    variable's candidates, that maps fx exactly onto fy; None if there is
-    none.  The depth-first search keeps its own stack, so subtree size is
-    not limited by the recursion limit.
+    x and y are sibling subtrees with equal signatures, and sig_ids numbers
+    the per-variable signatures of their group.  Returns the first renaming
+    delta: x.nodes -> y.nodes, in ascending-id order of x's variables and of
+    each one's candidates, that maps x's rows exactly onto y's, or None.
+    The search keeps its own stack, so subtree size is not limited by the
+    recursion limit.  Equal signatures leave no row over both subtrees (seen
+    from y it names an id of x's, which no view from x does), so renamed ids
+    never collide and a renamed row's key is a plain (sorted terms, rhs) tuple.
     """
-    inside_x = set(X)
-    sig_x = _variable_signatures(inside_x, fx)
-    sig_y = _variable_signatures(set(Y), fy)
-    by_sig_y: dict[tuple, list[int]] = {}
-    for w in Y:
-        by_sig_y.setdefault(sig_y[w], []).append(w)
-    # per pool, the sorted positions of its candidates not placed yet: the
-    # next free candidate is one binary search away, not a walk past every
-    # used one
-    free_of_sig = {sig: list(range(len(pool))) for sig, pool in by_sig_y.items()}
+    # when the renaming that keeps the order works, the search takes each
+    # variable's first candidate, the next smallest of y's, and returns it
+    if x.ordered_form() == y.ordered_form():
+        return dict(zip(x.nodes, y.nodes))
+    for s in (x, y):
+        if s.var_sig is None:
+            s.index(sig_ids)
+    X, fx, var_rows, target_keys = x.nodes, x.rows, x.var_rows, y.keys
     candidates = []
     for v in X:
-        pool = by_sig_y.get(sig_x[v])
-        if not pool:
+        sig = x.var_sig[v]
+        if sig not in y.pools:
             return None
-        candidates.append((pool, free_of_sig[sig_x[v]]))
-
-    target_keys = {c.sort_key() for c in fy}
-    var_to_rows: dict[int, list[int]] = {v: [] for v in X}
-    pending = []
-    for ci, c in enumerate(fx):
-        vs = [v for v, _ in c.terms if v in inside_x]
-        pending.append(len(vs))
-        for v in vs:
-            var_to_rows[v].append(ci)
-
+        candidates.append((y.pools[sig], y.free[sig]))
+    pending = list(x.pending)
     delta: dict[int, int] = {}
+    get = delta.get
     # pool positions of X[k] already tried at depth k; while X[k] is placed,
     # the last of them is delta[X[k]]'s
-    tried = [0] * len(X)
-
-    def unplace(k: int) -> None:
-        v = X[k]
-        for ci in var_to_rows[v]:
-            pending[ci] += 1
-        del delta[v]
-        insort(candidates[k][1], tried[k] - 1)
-
-    def place_next(k: int) -> bool:
-        """Map X[k] to its next untried free candidate whose completed rows
-        all land in fy; False once the candidates run out."""
+    tried, k = [0] * len(X), 0
+    while 0 <= k < len(X):
         v, (pool, free) = X[k], candidates[k]
-        while (i := bisect_left(free, tried[k])) < len(free):
-            pos = free.pop(i)
-            tried[k] = pos + 1
-            delta[v] = pool[pos]
-            ok = True
-            for ci in var_to_rows[v]:
-                pending[ci] -= 1
-                if ok and pending[ci] == 0:
-                    ok = _renamed_key(fx[ci], delta) in target_keys
-            if ok:
-                return True
-            unplace(k)
-        tried[k] = 0
-        return False
-
-    k = 0
-    while k >= 0:
-        if k == len(X):
-            image = {_renamed_key(c, delta) for c in fx}
-            if None not in image and image == target_keys:
-                return delta
-        elif place_next(k):
-            k += 1
+        if v in delta:  # take X[k]'s candidate back before trying the next
+            del delta[v]
+            for ci in var_rows[v]:
+                pending[ci] += 1
+            insort(free, tried[k] - 1)
+        i = bisect_left(free, tried[k])
+        if i == len(free):  # X[k]'s candidates ran out: back up
+            tried[k] = 0
+            k -= 1
             continue
-        k -= 1
-        if k >= 0:
-            unplace(k)
-    return None
+        pos = free.pop(i)
+        tried[k] = pos + 1
+        delta[v] = pool[pos]
+        ok = True
+        for ci in var_rows[v]:
+            pending[ci] -= 1
+            if ok and pending[ci] == 0:
+                c = fx[ci]
+                ok = (tuple(sorted([(get(u, u), a) for u, a in c.terms])), c.rhs) in target_keys
+        if ok:
+            k += 1
+    # each of x's rows landed on one of y's as it completed, renaming is
+    # injective on their ids and equal signatures mean as many rows: all of y's
+    return delta if k == len(X) else None
 
 
 def test_equivalence(
@@ -227,13 +226,11 @@ def test_equivalence(
     if decomposition.parent[x] != decomposition.parent[y]:
         raise KernelError(f"{x} and {y} are not siblings")
 
-    X = decomposition.subtree(x)
-    Y = decomposition.subtree(y)
-    fx = constraints_touching(instance, X)
-    fy = constraints_touching(instance, Y)
-    if _signature(set(X), fx) != _signature(set(Y), fy):
+    sx, sy = (_Sibling(s, constraints_touching(instance, s))
+              for s in (decomposition.subtree(x), decomposition.subtree(y)))
+    if sx.signature != sy.signature:
         return None
-    delta = _find_renaming(X, fx, Y, fy)
+    delta = _find_renaming(sx, sy, {})
     return None if delta is None else EquivalenceWitness(x=x, y=y, delta=delta)
 
 
@@ -286,20 +283,20 @@ class _Pruner:
         for c in kids:
             nodes = self._subtree(c)
             rows = self._touching(nodes)
-            fc = tuple(self.constraints[i] for i in rows)
-            groups.setdefault(_signature(set(nodes), fc), []).append((c, nodes, rows, fc))
+            sibling = _Sibling(nodes, tuple(self.constraints[i] for i in rows))
+            groups.setdefault(sibling.signature, []).append((c, sibling, rows))
         hits = []
         for members in groups.values():
-            keepers: list = []
-            for member in members:
-                c, nodes, rows, fc = member
-                for k, k_nodes, _, k_fc in keepers:
-                    delta = _find_renaming(k_nodes, k_fc, nodes, fc)
+            sig_ids: dict[tuple, int] = {}
+            keepers: list[tuple[int, _Sibling]] = []
+            for c, sibling, rows in members:
+                for k, keeper in keepers:
+                    delta = _find_renaming(keeper, sibling, sig_ids)
                     if delta is not None:
-                        hits.append((EquivalenceWitness(x=k, y=c, delta=delta), nodes, rows))
+                        hits.append((EquivalenceWitness(x=k, y=c, delta=delta), sibling.nodes, rows))
                         break
                 else:
-                    keepers.append(member)
+                    keepers.append((c, sibling))
         hits.sort(key=lambda hit: (hit[0].x, hit[0].y))
         for _, nodes, rows in hits:
             self.gone_vars.update(nodes)

@@ -4,7 +4,7 @@ The solver pipeline only ever consumes a treedepth decomposition: a
 rooted forest over the instance's variables whose ancestor-descendant
 closure contains every primal edge.  Tree decompositions (bags) appear
 as verifiable side artifacts of the generators; they live in ``formats``,
-off the solve path.
+and exact treedepth lives in ``bounds``, both off the solve path.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class Graph:
         return self._adj[v]
 
     def connected_components(self) -> list[tuple[int, ...]]:
+        from .bounds import _components_within  # no solve asks for components
         return [tuple(sorted(c)) for c in _components_within(frozenset(self.vertices), self)]
 
     def __eq__(self, other):
@@ -232,80 +233,6 @@ def dfs_treedepth_heuristic(graph: Graph) -> TreedepthDecomposition:
     return TreedepthDecomposition(parent)
 
 
-def _components_within(vset: frozenset[int], graph: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for s in sorted(vset):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in graph.neighbors(v):
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, TreedepthDecomposition]:
-    """Optimal treedepth with a witness, by the standard recursion:
-    1 for a single vertex, 1 + min over deleted vertices when connected,
-    max over components otherwise.  Memoized on vertex subsets; deletion
-    candidates are tried in ascending id and the first optimum is kept.
-    """
-    if graph.n > cap:
-        raise StructureError(
-            f"exact treedepth is capped at {cap} vertices, got {graph.n}"
-        )
-    memo: dict[frozenset[int], tuple[int, dict[int, int]]] = {}
-
-    def solve_connected(vset: frozenset[int]) -> tuple[int, dict[int, int]]:
-        if len(vset) == 1:
-            (v,) = vset
-            return 1, {v: ROOT}
-        hit = memo.get(vset)
-        if hit is not None:
-            return hit
-        best = len(vset) + 1
-        best_wit: dict[int, int] | None = None
-        for v in sorted(vset):
-            rest = vset - {v}
-            partial = 0
-            parts: list[dict[int, int]] = []
-            viable = True
-            for comp in _components_within(rest, graph):
-                h, wit = solve_connected(comp)
-                partial = max(partial, h)
-                parts.append(wit)
-                if partial + 1 >= best:
-                    viable = False
-                    break
-            if viable and partial + 1 < best:
-                best = partial + 1
-                merged = {v: ROOT}
-                for wit in parts:
-                    for u, p in wit.items():
-                        merged[u] = v if p == ROOT else p
-                best_wit = merged
-        assert best_wit is not None
-        memo[vset] = (best, best_wit)
-        return memo[vset]
-
-    forest: dict[int, int] = {}
-    height = 0
-    for comp in graph.connected_components():
-        h, wit = solve_connected(frozenset(comp))
-        forest.update(wit)
-        height = max(height, h)
-    decomposition = TreedepthDecomposition(forest)
-    return height, decomposition
-
-
 def verify_treedepth_decomposition(graph: Graph, decomposition: TreedepthDecomposition) -> bool:
     """True iff the forest covers exactly V(G) and every edge is vertical."""
     if set(decomposition.parent) != set(graph.vertices):
@@ -362,13 +289,15 @@ def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWi
     if kind == "treedepth":
         return TreedepthDecomposition(parent)
     if kind == "treewidth":
-        from .formats import TreeDecompositionWitness  # only bag witnesses load it
+        from .formats import _witness_bags  # only bag witnesses load it
 
-        bag_list = doc.get("bags")
-        if not isinstance(bag_list, list) or len(bag_list) != len(parent_list):
-            raise StructureError("witness 'bags' must be a list matching 'parent'")
-        if not all(_is_int_list(bag) for bag in bag_list):
-            raise StructureError("each witness bag must be a list of integers")
-        bags = {i: frozenset(b) for i, b in enumerate(bag_list)}
-        return TreeDecompositionWitness(parent, bags)
+        return _witness_bags(parent, doc.get("bags"))
     raise StructureError(f"unknown witness kind {kind!r}")
+
+
+def __getattr__(name: str):
+    # exact treedepth moved to ``bounds``; its old name here loads it on first use
+    if name == "compute_treedepth_exact":
+        from .bounds import compute_treedepth_exact
+        return compute_treedepth_exact
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

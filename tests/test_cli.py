@@ -311,10 +311,19 @@ def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
         f"import sys, tdilp.cli; print([m for m in {unwanted!r} if m in sys.modules]);"
         " print(sorted(m for m in sys.modules if m.split('.')[0] == 'tdilp'))"
     )
+    # exact treedepth and the text writer are not even names on the solve path
+    code += (
+        "; print([(m, n) for m in sorted(sys.modules) if m.split('.')[0] == 'tdilp'"
+        " for n in ('compute_treedepth_exact', 'serialize_instance') if n in vars(sys.modules[m])])"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", repr(sorted(SOLVE_PATH))]
+    assert done.stdout.splitlines() == ["[]", repr(sorted(SOLVE_PATH)), "[]"]
+    # their old names still resolve, to the moved functions
+    assert tdilp.structure.compute_treedepth_exact is tdilp.bounds.compute_treedepth_exact
+    assert tdilp.compute_treedepth_exact is tdilp.bounds.compute_treedepth_exact
+    assert tdilp.serialize_instance is tdilp.formats.serialize_instance
 
     solve = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks],
@@ -338,6 +347,33 @@ def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
         )
         assert bare.returncode == 0, bare.stderr
         assert _imported(bare.stderr) & stdlib == wanted
+
+
+def test_a_refused_outcome_is_no_input_error(two_blocks, tmp_path):
+    # a solve whose stdout reader is gone exits 4 with one stderr line, and
+    # the interpreter's last flush adds no "Exception ignored" report; stdout
+    # is block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(tdilp.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        refused = subprocess.run(
+            [sys.executable, "-m", "tdilp.cli", "solve", two_blocks],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert refused.returncode == 4
+    assert refused.stderr.splitlines() == ["error: cannot write the outcome: [Errno 32] Broken pipe"]
+    # an input file that cannot be read is still a usage or input error
+    missing = subprocess.run(
+        [sys.executable, "-m", "tdilp.cli", "solve", str(tmp_path / "missing.ilp")],
+        env=env, capture_output=True, text=True,
+    )
+    assert missing.returncode == 2
+    assert missing.stdout == ""
+    assert missing.stderr.startswith("error: [Errno 2] No such file or directory")
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,13 @@
 
 import copy
 import pickle
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdilp.formats import serialize_instance
 from tdilp.instance import (
     IlpError,
     IlpInstance,
@@ -19,8 +21,8 @@ from tdilp.instance import (
     evaluate_objective,
     max_abs_coefficient,
     omit_variables,
+    _objective_text,
     parse_instance,
-    serialize_instance,
 )
 
 
@@ -141,6 +143,34 @@ def test_right_hand_side_takes_one_sign():
         with pytest.raises(IlpSyntaxError) as e:
             parse_instance(f"max: x\nx <= {rhs}\n")
         assert e.value.line == 2
+
+
+_OBJECTIVE_RE = re.compile(r"max\s*:\s*(.*)$")  # the first-line rule as a regex
+
+
+_SPACE = st.text(st.sampled_from(" \t\u3000\x1f\xa0\x0b\x85"), max_size=3)
+
+
+@given(
+    st.lists(
+        st.sampled_from(["max", "MAX", "maxx", ":", " ", "\t", "\u3000", "\x1f", "\xa0", "x", "2 y"])
+        | st.text(max_size=3),
+        max_size=7,
+    ).map("".join)
+    | st.tuples(st.sampled_from(["max", "MAX", "maxx", "ma"]), _SPACE, st.sampled_from([":", "", "::"]),
+                _SPACE, st.text(max_size=4)).map("".join)
+)
+@settings(max_examples=500)
+def test_objective_line_is_read_as_the_regex_reads_it(text):
+    # parse_instance strips each line of text.splitlines() before reading it
+    for raw in text.splitlines():
+        line = raw.strip()
+        m = _OBJECTIVE_RE.match(line)
+        try:
+            got = _objective_text(line, 1)
+        except IlpSyntaxError:
+            got = None
+        assert got == (m.group(1) if m else None)
 
 
 def test_serialize_objective_first_and_sorted_rows():

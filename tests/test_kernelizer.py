@@ -2,9 +2,10 @@
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tdilp import (
@@ -20,13 +21,14 @@ from tdilp import (
     trace_to_json,
 )
 from tdilp.instance import check_feasible, evaluate_objective, omit_variables
+from tdilp import kernelizer
 from tdilp.kernelizer import (
     TraceStep,
     find_equivalent_pair,
     subtree_signature,
     test_equivalence as check_equivalence,
 )
-from tdilp.oracle import brute_force_ilp, witness_is_sound
+from tdilp.oracle import brute_force_ilp, equivalence_reference, witness_is_sound
 from tdilp.structure import ROOT, build_primal_graph, dfs_treedepth_heuristic
 
 from conftest import deep_twin_paths
@@ -491,3 +493,134 @@ def test_indexed_pass_matches_naive_fixpoint(case):
     assert kernel == want_kernel and kernel.ids() == want_kernel.ids()
     assert kdec == want_dec
     assert trace_to_json(trace) == trace_to_json(want_trace)
+
+
+def test_twin_search_takes_back_a_refuted_candidate():
+    """Two 4-cycles of rows p + q <= 1, a-b-c-d-a and e-g-f-h-e, as chains
+    below the objective's z.  Every variable has the same signature and the
+    order-keeping renaming fails, so the search maps a -> e, refutes b -> f
+    on a + b <= 1, puts f back, and certifies b -> g, c -> f, d -> h."""
+    b = InstanceBuilder()
+    for p, q in ("ab", "bc", "cd", "da", "eg", "gf", "fh", "he"):
+        b.add_le({p: 1, q: 1}, 1)
+    b.set_objective({"z": 1})
+    ins = b.build()  # ids a..h are 0..7, z is 8
+    dec = TreedepthDecomposition({8: ROOT, 0: 8, 1: 0, 2: 1, 3: 2, 4: 8, 5: 4, 6: 5, 7: 6})
+    _, _, trace = kernelize(ins, dec)
+    assert [step.delta for step in trace] == [{0: 4, 1: 6, 2: 5, 3: 7}]
+    assert equivalence_reference(ins, dec, 0, 4) == {0: 4, 1: 6, 2: 5, 3: 7}
+
+
+def _searched_pairs(ins, dec):
+    """kernelize(ins, dec), recording every pair of siblings the pruner
+    compares, as (variables pruned before it, keeper variables, twin
+    variables, delta found or None)."""
+    pairs, gone = [], []
+    prune, find = kernelizer._Pruner.prune, kernelizer._find_renaming
+
+    def recording_prune(self, kids):
+        gone[:] = [frozenset(self.gone_vars)]
+        return prune(self, kids)
+
+    def recording_find(x, y, sig_ids):
+        delta = find(x, y, sig_ids)
+        pairs.append((gone[0], x.nodes, y.nodes, delta))
+        return delta
+
+    with mock.patch.object(kernelizer._Pruner, "prune", recording_prune), \
+            mock.patch.object(kernelizer, "_find_renaming", recording_find):
+        kernelize(ins, dec)
+    return pairs
+
+
+def _root_of(dec, nodes):
+    return next(v for v in nodes if dec.parent[v] not in nodes)
+
+
+def _renamed(ins, dec, rank):
+    """ins and dec with variable i named by rank[i], so the ids of twins need
+    not keep one order (planted copies are named in one order)."""
+    name = {v: f"w{rank[i]:03d}" for i, v in enumerate(ins.ids())}
+    b = InstanceBuilder()
+    for v in ins.ids():
+        b.var(name[v])
+    for c in ins.constraints:
+        b.add_le({name[v]: k for v, k in c.terms}, c.rhs)
+    b.set_objective({name[v]: k for v, k in ins.objective.terms})
+    new = b.build()
+    new_id = {v: new.id_of(name[v]) for v in ins.ids()}
+    return new, TreedepthDecomposition(
+        {new_id[v]: ROOT if p == ROOT else new_id[p] for v, p in dec.parent.items()}
+    )
+
+
+@st.composite
+def graph_siblings(draw):
+    """Sibling subtrees that are graphs on up to 6 vertices, one row
+    p + q <= 1 per edge, each a chain below the objective's z.  A variable's
+    signature is then its degree, so candidate pools are wide and the search
+    backtracks; two siblings are twins exactly when their graphs are
+    isomorphic, and copies of one graph are relabelled at random."""
+    n = draw(st.integers(3, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    base = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=2 * n, unique=True))
+    b = InstanceBuilder()
+    chains = []
+    for j in range(draw(st.integers(2, 4))):
+        edges = base if draw(st.booleans()) else draw(
+            st.lists(st.sampled_from(pairs), min_size=len(base), max_size=len(base), unique=True))
+        label = draw(st.permutations(range(n)))
+        names = [b.var(f"s{j}v{i}") for i in range(n)]
+        for p, q in edges:
+            b.add_le({names[label[p]]: 1, names[label[q]]: 1}, 1)
+        chains.append(names)
+    b.set_objective({"z": 1})
+    ins = b.build()
+    parent = {ins.id_of("z"): ROOT}
+    for names in chains:
+        for above, name in zip(["z", *names], names):
+            parent[ins.id_of(name)] = ins.id_of(above)
+    return ins, TreedepthDecomposition(parent)
+
+
+@given(planted_forests() | graph_siblings(), st.data())
+@settings(max_examples=200, deadline=10_000)
+def test_twin_search_matches_the_bijection_oracle(case, data):
+    """Every pair the pruner compares, on the instance left at that point,
+    gets the verdict and delta that trying every bijection in ascending-id
+    order gives (tdilp.oracle, which shares no code with the search), also
+    with the variables renamed so that twins are not order-isomorphic."""
+    ins, dec = case
+    if data.draw(st.booleans()):
+        ins, dec = _renamed(ins, dec, data.draw(st.permutations(range(ins.n_variables))))
+    for gone, keeper, twin, delta in _searched_pairs(ins, dec):
+        if len(keeper) > 6:
+            continue
+        left, left_dec = omit_variables(ins, gone), dec.drop_nodes(gone)
+        want = equivalence_reference(left, left_dec, _root_of(dec, keeper), _root_of(dec, twin))
+        assert delta == want
+
+
+@given(planted_forests(), st.data())
+@settings(max_examples=150, deadline=10_000)
+def test_equivalence_matches_the_oracle_under_unverified_forests(case, data):
+    """A drawn forest over the same variables is rarely a decomposition, so
+    rows span siblings; test_equivalence accepts it and must still agree
+    with the oracle on every sibling pair of at most 6 variables each."""
+    ins, _ = case
+    ids = ins.ids()
+    dec = TreedepthDecomposition(
+        {v: data.draw(st.sampled_from((ROOT, *ids[:i]))) for i, v in enumerate(ids)}
+    )
+    spanned = False
+    for kids in (dec.roots(), *map(dec.children, ids)):
+        for a, b in itertools.combinations(kids, 2):
+            X, Y = dec.subtree(a), dec.subtree(b)
+            if len(X) > 6 or len(Y) > 6:
+                continue
+            witness = check_equivalence(ins, dec, a, b)
+            assert (witness and witness.delta) == equivalence_reference(ins, dec, a, b)
+            shared = any(set(X) & set(c.variables()) and set(Y) & set(c.variables())
+                         for c in ins.constraints)
+            spanned = spanned or shared
+    event("a sibling pair shares a row" if spanned else "no sibling pair shares a row")

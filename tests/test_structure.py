@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tdilp.structure
+import tdilp.bounds
 from conftest import complete_graph, cycle_graph, path_graph, petersen
 from tdilp.instance import parse_instance
 from tdilp.kernelizer import KernelError
@@ -137,7 +137,7 @@ def test_decompose_takes_the_dfs_forest_at_every_size(monkeypatch):
     def no_exact(*args, **kwargs):
         raise AssertionError("decompose ran the exact treedepth search")
 
-    monkeypatch.setattr(tdilp.structure, "compute_treedepth_exact", no_exact)
+    monkeypatch.setattr(tdilp.bounds, "compute_treedepth_exact", no_exact)
     for n in (2, 12, 13):
         ins = _path_instance(n)
         graph = build_primal_graph(ins)
