@@ -19,12 +19,7 @@ from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping
 
 from .instance import IlpError, IlpInstance, LinearConstraint, Record, omit_variables
-from .structure import (
-    ROOT,
-    TreedepthDecomposition,
-    build_primal_graph,
-    verify_treedepth_decomposition,
-)
+from .structure import TreedepthDecomposition
 
 
 class KernelError(IlpError):
@@ -241,25 +236,31 @@ def test_equivalence(
 class _Pruner:
     """Variable-to-row index of one instance, plus the subtrees pruned so far.
 
-    Every row lies on one root path of the decomposition, so sibling
-    subtrees never share a row: pruning one sibling leaves every other
-    sibling's touching rows, signature and twins unchanged.  Each sibling
-    set therefore needs a single pass.
+    The index is where the decomposition is checked: it is a treedepth
+    decomposition of the primal graph exactly when every row, and the
+    objective, lies on one root path.  So sibling subtrees never share a
+    row: pruning one sibling leaves every other sibling's touching rows,
+    signature and twins unchanged.  Each sibling set therefore needs a
+    single pass.
     """
 
     def __init__(self, instance: IlpInstance, decomposition: TreedepthDecomposition):
+        if set(decomposition.parent) != set(instance.ids()):
+            raise KernelError("decomposition nodes differ from instance variables")
         self.constraints = instance.constraints
         self.decomposition = decomposition
+        rows = [c.variables() for c in instance.constraints]
+        support = instance.objective.variables()
+        if not all(map(decomposition.is_chain, {*rows, support})):  # rows share supports
+            raise KernelError("decomposition closure misses a primal edge")
         self.rows_of: dict[int, list[int]] = {v: [] for v in instance.ids()}
-        for i, c in enumerate(instance.constraints):
-            for v, _ in c.terms:
+        for i, vs in enumerate(rows):
+            for v in vs:
                 self.rows_of[v].append(i)
         # nodes whose subtree holds an objective variable are never pruned
-        self.holders: set[int] = set()
-        for v in instance.objective.variables():
-            while v != ROOT and v not in self.holders:
-                self.holders.add(v)
-                v = decomposition.parent[v]
+        self.holders: set[int] = set(
+            decomposition.path_to_root(max(support, key=decomposition.depth_of)) if support else ()
+        )
         self.gone_vars: set[int] = set()
         self.gone_rows: set[int] = set()
 
@@ -353,19 +354,15 @@ def kernelize(
     The trace is the one that omitting the smallest (keeper, twin) pair
     one at a time until a fixpoint would record; the instance is rebuilt
     once at the end, and when nothing was pruned the given instance and
-    decomposition are returned as the kernel.
+    decomposition are returned as the kernel.  Raises KernelError unless the
+    decomposition is a treedepth decomposition of the primal graph.
     """
-    if set(decomposition.parent) != set(instance.ids()):
-        raise KernelError("decomposition nodes differ from instance variables")
-    if not verify_treedepth_decomposition(build_primal_graph(instance), decomposition):
-        raise KernelError("decomposition closure misses a primal edge")
-
     pruner = _Pruner(instance, decomposition)
     by_depth: dict[int, list[int]] = {}
     for v in decomposition.nodes():
         by_depth.setdefault(decomposition.depth_of(v), []).append(v)
-    # the objective's support is a primal clique, so it lies in one tree,
-    # which the pruner keeps: the virtual root is always safe to process
+    # the pruner checked that the objective's support lies on one root path,
+    # whose tree it keeps: the virtual root is always safe to process
     sibling_sets = [
         decomposition.children(z)
         for depth in range(decomposition.height - 1, 0, -1)

@@ -51,7 +51,7 @@ class SolveOutcome(Record):
 
         The text is exactly ``json.dumps(doc, indent=2)`` of the outcome's
         fields, written without the json module, which a plain solve would
-        otherwise import only for this.
+        otherwise import only for this; a name that needs escaping loads it.
         """
         fields = [("status", _json_str(self.status)), ("value", _json_int(self.value))]
         if self.assignment is None:
@@ -72,27 +72,12 @@ def _json_int(value: int | None) -> str:
     return "null" if value is None else str(value)
 
 
-_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
-}
-
-
 def _json_str(text: str) -> str:
-    """``text`` as a JSON string the way json.dumps writes it (ensure_ascii):
-    printable ASCII as is, the short escapes above, every other code point
-    as ``\\uXXXX`` (a UTF-16 surrogate pair above U+FFFF)."""
+    """``text`` as json.dumps writes it.  Variable names and statuses are
+    printable ASCII without quotes or backslashes, which json.dumps leaves
+    as they are."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    parts = []
-    for ch in text:
-        code = ord(ch)
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif 0x20 <= code < 0x7F:
-            parts.append(ch)
-        elif code < 0x10000:
-            parts.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            parts.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(parts) + '"'
+    import json  # only a string that needs escaping loads it
+
+    return json.dumps(text)

@@ -102,7 +102,7 @@ class _SearchProgram:
     """
 
     __slots__ = (
-        "ids", "rows", "obj", "cut_terms", "cut_gcd", "var_rows", "lo_readers", "hi_readers",
+        "ids", "rows", "obj", "cut_terms", "cut_gcd", "lo_readers", "hi_readers",
         "n", "tightest", "rows_contradict", "cut_opposite", "equalities", "var_eqs",
     )
 
@@ -135,7 +135,6 @@ class _SearchProgram:
                     raw.insert(at, row)
                     rows.insert(at, _primitive(*row))
 
-        self.var_rows = var_rows = [[] for _ in range(n)]
         # The rows whose floor sum reads lo[j] (x_j has a positive
         # coefficient) and hi[j] (a negative one): _propagate requeues only
         # those when that bound moves.  A row over one variable bounds it by
@@ -154,12 +153,7 @@ class _SearchProgram:
         for ri, (terms, rhs) in enumerate(rows):
             if len(terms) > 1:
                 for j, c in terms:
-                    var_rows[j].append(ri)
                     (lo_readers if c > 0 else hi_readers)[j].append(ri)
-            elif terms:
-                var_rows[terms[0][0]].append(ri)
-            else:
-                continue
             if tightest.get(terms, rhs) >= rhs:
                 tightest[terms] = rhs
         if len(cut_terms) > 1:
@@ -550,7 +544,8 @@ def _presolve_rows(rows, obj: list[int]) -> set[tuple[tuple[tuple[int, int], ...
         all of them are objective-free, any feasible point translates to
         one with g < lcm(p), so the bound g <= lcm(p) - 1 is added.
     """
-    # the part of _SearchProgram's index that the rewrites read
+    # tightest as _SearchProgram indexes it, and each variable's rows, which
+    # only the rewrites read
     var_rows: list[list[int]] = [[] for _ in obj]
     tightest: dict[tuple[tuple[int, int], ...], int] = {}
     for ri, (terms, rhs) in enumerate(rows):

@@ -164,6 +164,21 @@ class TreedepthDecomposition:
             u = self.parent[u]
         return u == a
 
+    def is_chain(self, vs: Iterable[int]) -> bool:
+        """True iff the nodes lie on one root path: each is an ancestor of the
+        deepest, so one walk up from it meets them all, deepest first.  Rows
+        and objectives are primal cliques, so a decomposition is valid exactly
+        when each of their supports is a chain."""
+        depth, parent = self._depth, self.parent
+        ordered = sorted(vs, key=depth.__getitem__, reverse=True)
+        u = ordered[0] if ordered else None
+        for v in ordered:
+            for _ in range(depth[u] - depth[v]):
+                u = parent[u]
+            if u != v:
+                return False
+        return True
+
     def drop_nodes(self, gone: Iterable[int]) -> "TreedepthDecomposition":
         """Remove a union of whole subtrees; survivors keep their parents."""
         dead = set(gone)
@@ -237,10 +252,7 @@ def verify_treedepth_decomposition(graph: Graph, decomposition: TreedepthDecompo
     """True iff the forest covers exactly V(G) and every edge is vertical."""
     if set(decomposition.parent) != set(graph.vertices):
         raise StructureError("decomposition nodes differ from graph vertices")
-    for u, v in graph.edges:
-        if not (decomposition.is_ancestor(u, v) or decomposition.is_ancestor(v, u)):
-            return False
-    return True
+    return all(decomposition.is_chain(edge) for edge in graph.edges)
 
 
 def decompose(

@@ -6,9 +6,11 @@ visible without -s.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 import tdilp.solver
-from tdilp import Graph, InstanceBuilder
+from tdilp import Graph, InstanceBuilder, TreedepthDecomposition
+from tdilp.structure import ROOT
 
 # graphs use 1-based vertex labels, matching the generator conventions
 
@@ -55,6 +57,20 @@ def deep_twin_paths(links: int):
         for i in range(links - 1):
             b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
     return b.build()
+
+
+@st.composite
+def random_forests(draw, nodes=None):
+    """A forest over nodes (by default 0..n-1 for a drawn n <= 30): each node
+    hangs below ROOT or an earlier node of a shuffled order, so ids say
+    nothing about depth."""
+    if nodes is None:
+        nodes = range(draw(st.integers(min_value=1, max_value=30)))
+    order = draw(st.permutations(nodes))
+    parent = {}
+    for i, v in enumerate(order):
+        parent[v] = ROOT if i == 0 else draw(st.sampled_from((ROOT, *order[:i])))
+    return TreedepthDecomposition(parent)
 
 
 @pytest.fixture

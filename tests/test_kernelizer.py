@@ -20,18 +20,30 @@ from tdilp import (
     trace_from_json,
     trace_to_json,
 )
-from tdilp.instance import check_feasible, evaluate_objective, omit_variables
+from tdilp.instance import (
+    IlpInstance,
+    LinearObjective,
+    check_feasible,
+    evaluate_objective,
+    omit_variables,
+)
 from tdilp import kernelizer
 from tdilp.kernelizer import (
     TraceStep,
     find_equivalent_pair,
+    prune_step,
     subtree_signature,
     test_equivalence as check_equivalence,
 )
 from tdilp.oracle import brute_force_ilp, equivalence_reference, witness_is_sound
-from tdilp.structure import ROOT, build_primal_graph, dfs_treedepth_heuristic
+from tdilp.structure import (
+    ROOT,
+    build_primal_graph,
+    dfs_treedepth_heuristic,
+    verify_treedepth_decomposition,
+)
 
-from conftest import deep_twin_paths
+from conftest import deep_twin_paths, random_forests
 
 
 def _blocks_instance(caps, objective_on_z=True):
@@ -114,12 +126,34 @@ def test_kernelize_rejects_wrong_node_set():
         kernelize(ins, TreedepthDecomposition({0: ROOT, 1: 0}))
 
 
+def _abc_instance(objective, *rows):
+    """Variables a, b, c (ids 0, 1, 2) under the given objective and <= 1 rows."""
+    b = InstanceBuilder()
+    for name in "abc":
+        b.var(name)
+    for row in rows:
+        b.add_le(row, 1)
+    b.set_objective(objective)
+    return b.build()
+
+
 def test_kernelize_rejects_uncovered_edge():
-    ins, _ = _blocks_instance([4, 4])
-    # z (id 2) adjacent to both blocks, but this forest separates z from a2
-    bad = TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT})
-    with pytest.raises(KernelError):
-        kernelize(ins, bad)
+    cases = [
+        # z (id 2) adjacent to both blocks, but this forest separates z from a2
+        (_blocks_instance([4, 4])[0], TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT})),
+        # every row is a chain, the objective's a and b are siblings below c
+        (_abc_instance({"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1}),
+         TreedepthDecomposition({2: ROOT, 0: 2, 1: 2})),
+        # a + b + c: a is above b and c, which are siblings
+        (_abc_instance({}, {"a": 1, "b": 1, "c": 1}),
+         TreedepthDecomposition({0: ROOT, 1: 0, 2: 0})),
+    ]
+    for ins, bad in cases:
+        assert not verify_treedepth_decomposition(build_primal_graph(ins), bad)
+        for prune in (kernelize, lambda i, d: find_equivalent_pair(i, d, None),
+                      lambda i, d: prune_step(i, d, None)):
+            with pytest.raises(KernelError, match="closure misses a primal edge"):
+                prune(ins, bad)
 
 
 def test_kernel_value_matches_original_after_lift():
@@ -493,6 +527,42 @@ def test_indexed_pass_matches_naive_fixpoint(case):
     assert kernel == want_kernel and kernel.ids() == want_kernel.ids()
     assert kdec == want_dec
     assert trace_to_json(trace) == trace_to_json(want_trace)
+
+
+@st.composite
+def forests_over_planted(draw):
+    """A planted instance and a forest over its variables: the planted one,
+    one with a node re-hung (a row over three or more variables may split
+    across siblings), the planted one under a new objective over one or two
+    variables (only the objective may break), or a random one."""
+    ins, dec = draw(planted_forests())
+    kind = draw(st.sampled_from(("planted", "rehung", "objective", "random")))
+    if kind == "planted":
+        return ins, dec
+    if kind == "random":
+        return ins, draw(random_forests(ins.ids()))
+    if kind == "objective":
+        support = draw(st.lists(st.sampled_from(ins.ids()), min_size=1, max_size=2, unique=True))
+        objective = LinearObjective.make({v: 1 for v in support})
+        return IlpInstance(ins.variables, ins.constraints, objective), dec
+    v = draw(st.sampled_from(dec.nodes()))
+    below = set(dec.subtree(v))
+    parent = dict(dec.parent)
+    parent[v] = draw(st.sampled_from([ROOT, *(u for u in dec.nodes() if u not in below)]))
+    return ins, TreedepthDecomposition(parent)
+
+
+@given(forests_over_planted())
+@settings(max_examples=300, deadline=2000)
+def test_kernelize_rejects_exactly_the_forests_verify_rejects(case):
+    ins, dec = case
+    valid = verify_treedepth_decomposition(build_primal_graph(ins), dec)
+    event("valid" if valid else "invalid")
+    if valid:
+        kernelize(ins, dec)
+    else:
+        with pytest.raises(KernelError, match="closure misses a primal edge"):
+            kernelize(ins, dec)
 
 
 def test_twin_search_takes_back_a_refuted_candidate():

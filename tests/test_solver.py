@@ -258,9 +258,9 @@ def test_pipeline_rejects_bad_decomposition(parent):
 
 
 def test_decomposition_is_checked_once_per_solve(monkeypatch):
-    # decompose picks the decomposition and kernelize is its one check:
-    # a given witness costs one primal graph and one verify, the DFS forest
-    # one graph to build it and one for kernelize's check
+    # decompose picks the decomposition and kernelize checks it on its own row
+    # index: a given witness costs no primal graph, the DFS forest one to build
+    # it, and neither runs the graph-based verify
     calls = {"build": 0, "verify": 0}
     real_build = tdilp.structure.build_primal_graph
     real_verify = tdilp.structure.verify_treedepth_decomposition
@@ -273,16 +273,16 @@ def test_decomposition_is_checked_once_per_solve(monkeypatch):
         calls["verify"] += 1
         return real_verify(graph, decomposition)
 
-    for module in (tdilp.structure, tdilp.kernelizer):
-        monkeypatch.setattr(module, "build_primal_graph", build)
-        monkeypatch.setattr(module, "verify_treedepth_decomposition", verify)
+    for name in ("build_primal_graph", "verify_treedepth_decomposition"):
+        assert not hasattr(tdilp.kernelizer, name)
+    monkeypatch.setattr(tdilp.structure, "build_primal_graph", build)
+    monkeypatch.setattr(tdilp.structure, "verify_treedepth_decomposition", verify)
     ins = _parse("max: z\nz - a1 <= 0\na1 <= 4\nz - a2 <= 0\na2 <= 4\n")
     witness = TreedepthDecomposition({2: ROOT, 0: 2, 1: 2})
     assert solve_pipeline(ins, witness)[1].td_mode == "given"
-    assert calls == {"build": 1, "verify": 1}
-    calls.update(build=0, verify=0)
+    assert calls == {"build": 0, "verify": 0}
     assert solve_pipeline(ins)[1].td_mode == "dfs"
-    assert calls == {"build": 2, "verify": 1}
+    assert calls == {"build": 1, "verify": 0}
 
 
 def test_solve_with_and_without_kernel_agree():
@@ -705,7 +705,6 @@ def _reference_index(rows, n, cut_terms):
 
     return {
         "rows": rows,
-        "var_rows": [[ri for ri, read in enumerate(reads) if j in read] for j in range(n)],
         "lo_readers": readers(1),
         "hi_readers": readers(-1),
         "tightest": list(tightest.items()),

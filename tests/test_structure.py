@@ -1,12 +1,13 @@
 """Graphs, treedepth decompositions, tree decompositions, witness files."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tdilp.bounds
-from conftest import complete_graph, cycle_graph, path_graph, petersen
+from conftest import complete_graph, cycle_graph, path_graph, petersen, random_forests
 from tdilp.instance import parse_instance
 from tdilp.kernelizer import KernelError
 from tdilp.solver import solve_pipeline
@@ -59,23 +60,33 @@ def test_decomposition_shape():
     assert d.is_ancestor(0, 3) and not d.is_ancestor(2, 3)
 
 
-@st.composite
-def random_forests(draw):
-    """Each node hangs below ROOT or an earlier node of a shuffled order,
-    so ids say nothing about depth."""
-    order = draw(st.permutations(range(draw(st.integers(min_value=1, max_value=30)))))
-    parent = {}
-    for i, v in enumerate(order):
-        parent[v] = ROOT if i == 0 else draw(st.sampled_from((ROOT, *order[:i])))
-    return TreedepthDecomposition(parent)
-
-
 @given(random_forests())
 @settings(max_examples=100, deadline=None)
 def test_is_ancestor_matches_root_path_membership(d):
     for a in d.nodes():
         for v in d.nodes():
             assert d.is_ancestor(a, v) == (a in d.path_to_root(v))
+
+
+@st.composite
+def _forest_and_nodes(draw):
+    """A random forest and a few of its nodes: any nodes, or part of one
+    root path with maybe one node more."""
+    d = draw(random_forests())
+    if draw(st.booleans()):
+        return d, draw(st.lists(st.sampled_from(d.nodes()), max_size=6))
+    path = d.path_to_root(draw(st.sampled_from(d.nodes())))
+    vs = draw(st.lists(st.sampled_from(path), min_size=1, unique=True))
+    return d, vs + draw(st.lists(st.sampled_from(d.nodes()), max_size=1))
+
+
+@given(_forest_and_nodes())
+@settings(max_examples=300, deadline=1000)
+def test_is_chain_matches_pairwise_ancestry(case):
+    d, vs = case
+    want = all(d.is_ancestor(a, b) or d.is_ancestor(b, a) for a, b in combinations(vs, 2))
+    assert d.is_chain(vs) == want
+    assert d.is_chain(tuple(reversed(vs))) == want
 
 
 def test_decomposition_rejects_cycles_and_orphans():
