@@ -16,6 +16,7 @@ compiles what it imports.
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -142,7 +143,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the process ends here: frozen, what is still alive (site's and tdilp's
+    # modules, any cycles the solve left) is left to reference counting and
+    # the OS, not walked by teardown's last collections; atexit handlers and
+    # the exit-time flushes still run.  run() never freezes: tests and
+    # library callers call it in-process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

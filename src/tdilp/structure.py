@@ -284,8 +284,36 @@ def _is_int_list(value) -> bool:
     )
 
 
+# the exact text that ``formats.witness_to_json`` writes for a treedepth
+# decomposition is _TD_HEAD, the parents joined by ", ", then _TD_TAIL
+_TD_HEAD = '{"kind": "treedepth", "parent": ['
+_TD_TAIL = "]}"
+
+
+def _canonical_parents(text: str) -> list[int] | None:
+    """The parent list of a treedepth witness in its canonical text, read
+    without ``json``, or None for any other text.  Each parent must be a
+    JSON integer as ``json.dumps`` writes it: ASCII digits, no leading zero,
+    "-" only before a nonzero value."""
+    if not (text.startswith(_TD_HEAD) and text.endswith(_TD_TAIL)):
+        return None
+    body = text[len(_TD_HEAD) : -len(_TD_TAIL)]
+    if not body:
+        return []
+    parents = []
+    for token in body.split(", "):
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and token != "0"):
+            return None
+        parents.append(int(token))
+    return parents
+
+
 def witness_from_json(text: str) -> TreedepthDecomposition | TreeDecompositionWitness:
-    import json  # only a solve given --td reads JSON
+    parents = _canonical_parents(text)
+    if parents is not None:
+        return TreedepthDecomposition(dict(enumerate(parents)))
+    import json  # only a witness in another spelling reads JSON
 
     try:
         doc = json.loads(text)

@@ -1,5 +1,6 @@
 """The command-line surface, driven through run() for speed."""
 
+import gc
 import io
 import json
 import os
@@ -340,7 +341,7 @@ def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
     witness = tmp_path / "w.json"
     assert run(["analyze", two_blocks, "--witness-out", str(witness)]) == 0
     stdlib = {"argparse", "gettext", "locale", "json", "typing", "pathlib"}
-    for flags, wanted in [([], set()), (["--td", str(witness)], {"json"})]:
+    for flags, wanted in [([], set()), (["--td", str(witness)], set())]:
         bare = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks, *flags],
             env=env, capture_output=True, text=True,
@@ -374,6 +375,39 @@ def test_a_refused_outcome_is_no_input_error(two_blocks, tmp_path):
     assert missing.returncode == 2
     assert missing.stdout == ""
     assert missing.stderr.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_only_main_freezes_the_collector(two_blocks, tmp_path):
+    # main() freezes the collector just before the process exits, so that
+    # teardown does not walk every live object; run() is called in-process
+    # by tests and library callers and never freezes.  An atexit handler
+    # reports the freeze count: atexit still runs after the freeze.
+    k4 = tmp_path / "k4.graph"
+    k4.write_text("4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    k4_ilp, k4_td = tmp_path / "k4.ilp", tmp_path / "k4.json"
+    assert run(["generate", "3col", "--graph", str(k4), "-o", str(k4_ilp), "--witness", str(k4_td)]) == 0
+    report = (
+        "import atexit, gc, sys, tdilp.cli;"
+        " atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr));"
+        " tdilp.cli.main()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tdilp.__file__).resolve().parents[1])}
+    for argv, code in [
+        (["solve", two_blocks], 0),
+        (["solve", str(k4_ilp), "--td", str(k4_td), "--propagate"], 1),
+        (["solve", two_blocks, "--bogus"], 2),
+        (["solve", two_blocks, "--bound", "1"], 3),
+    ]:
+        frozen = gc.get_freeze_count()
+        in_process = _run_captured(argv)
+        assert gc.get_freeze_count() == frozen
+        assert in_process[0] == code
+        done = subprocess.run(
+            [sys.executable, "-c", report, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stdout == in_process[1]
+        assert done.stderr.splitlines()[-1] == "frozen True"
 
 
 @pytest.fixture(scope="module")

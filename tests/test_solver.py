@@ -31,7 +31,7 @@ from tdilp.reductions import reduce_three_coloring
 from tdilp.solver import _crt, _propagate, _SearchProgram, bounded_search, detect_unbounded
 from tdilp.structure import ROOT, build_primal_graph, compute_treedepth_exact
 
-from conftest import complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
+from conftest import all_graphs, complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
 
 
 def _parse(text):
@@ -668,6 +668,28 @@ def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, c
     assert outcome.status == ("optimal" if brute_three_coloring(graph) else "infeasible")
     if outcome.status == "optimal":
         assert check_feasible(ins, outcome.assignment)
+
+
+_SMALL_GRAPHS = {f"n{n}-{i}": g for n in range(5) for i, g in enumerate(all_graphs(n))}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*_SMALL_GRAPHS.values(), cycle_graph(5), complete_graph(4), odd_wheel()],
+    ids=[*_SMALL_GRAPHS, "C5", "K4", "W5"],
+)
+def test_three_coloring_given_decomposition_matches_the_dfs_forest(graph):
+    # the encoding's own witness and the DFS forest of its primal graph are
+    # different decompositions of one instance; the verdicts must agree
+    ins, witness = reduce_three_coloring(graph)
+    given, given_info = solve_pipeline(ins, witness, propagate=True)
+    computed, computed_info = solve_pipeline(ins, propagate=True)
+    assert (given_info.td_mode, computed_info.td_mode) == ("given", "dfs")
+    assert given.status == computed.status
+    assert given.status == ("optimal" if brute_three_coloring(graph) else "infeasible")
+    for outcome in (given, computed):
+        if outcome.status == "optimal":
+            assert check_feasible(ins, outcome.assignment)
 
 
 def _naive_primitive(terms, rhs):

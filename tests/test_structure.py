@@ -2,11 +2,13 @@
 
 import json
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tdilp.bounds
+import tdilp.structure
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_forests
 from tdilp.instance import parse_instance
 from tdilp.kernelizer import KernelError
@@ -233,6 +235,81 @@ def test_witness_json_requires_dense_nodes():
         witness_from_json(json.dumps({"kind": "treedepth", "parent": [-1, 0, 1, 5]}))
     with pytest.raises(StructureError):
         witness_from_json(json.dumps({"kind": "nonsense", "parent": [-1]}))
+
+
+def _read_witness(text, json_only=False):
+    """witness_from_json's decomposition or StructureError text; json_only
+    switches its canonical-text reader off, so every text goes to json."""
+    canonical = (lambda _: None) if json_only else tdilp.structure._canonical_parents
+    with mock.patch.object(tdilp.structure, "_canonical_parents", canonical):
+        try:
+            return witness_from_json(text)
+        except StructureError as exc:
+            return f"StructureError: {exc}"
+
+
+# parent lists: valid forests, and any integers (cycles, dangling parents,
+# values past 64 bits) that the decomposition refuses
+parent_lists = st.one_of(
+    random_forests().map(lambda d: [d.parent[v] for v in d.nodes()]),
+    st.lists(st.integers(-2, 12) | st.integers(-(10**40), 10**40), max_size=8),
+)
+
+_NEAR_TOKENS = ["0{}", "+{}", "-0", "{}.0", "{}e0", "true", "null", '"{}"', "{}x", " {}", "{}\n"]
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def near_canonical_witnesses(draw):
+    """A canonical treedepth witness text with one change that json may or
+    may not accept: whitespace, key order, a token misspelled, trailing
+    text, another kind."""
+    parents = draw(parent_lists)
+    tokens = [str(p) for p in parents]
+    canon = '{"kind": "treedepth", "parent": [' + ", ".join(tokens) + "]}"
+    change = draw(st.sampled_from(["space", "indent", "separator", "keys", "token", "digits", "trail", "kind"]))
+    if change == "space":
+        at = draw(st.integers(0, len(canon)))
+        return canon[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r\n"])) + canon[at:]
+    if change == "indent":
+        return json.dumps({"kind": "treedepth", "parent": parents}, indent=draw(st.integers(0, 2)))
+    if change == "separator":
+        assume(len(tokens) > 1)
+        return canon.replace(", ", draw(st.sampled_from([",", " ,", ",  ", ",\n"])))
+    if change == "keys":
+        return '{"parent": [' + ", ".join(tokens) + '], "kind": "treedepth"}'
+    if change == "token":
+        i = draw(st.integers(0, len(tokens)))
+        tokens.insert(i, draw(st.sampled_from(_NEAR_TOKENS)).format(draw(st.sampled_from(tokens or ["1"]))))
+        if i < len(tokens) - 1 and draw(st.booleans()):
+            del tokens[i + 1]  # the misspelling replaces a token
+        return '{"kind": "treedepth", "parent": [' + ", ".join(tokens) + "]}"
+    if change == "digits":
+        assume(tokens)
+        return canon.translate(_ARABIC_INDIC)
+    if change == "trail":
+        return canon + draw(st.sampled_from([" ", "\n", "x", "}", "]}", ", 1"]))
+    return canon.replace("treedepth", draw(st.sampled_from(["treewidth", "Treedepth", "tree depth"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parents=parent_lists)
+def test_witness_canonical_text_reads_as_json_does(parents):
+    text = '{"kind": "treedepth", "parent": [' + ", ".join(map(str, parents)) + "]}"
+    assert text == json.dumps({"kind": "treedepth", "parent": parents})
+    assert tdilp.structure._canonical_parents(text) == parents  # read without json
+    got = _read_witness(text)
+    assert got == _read_witness(text, json_only=True)
+    if isinstance(got, TreedepthDecomposition):
+        assert witness_to_json(got) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=near_canonical_witnesses())
+def test_witness_near_canonical_text_goes_to_json(text):
+    assert tdilp.structure._canonical_parents(text) is None
+    got, want = _read_witness(text), _read_witness(text, json_only=True)
+    assert type(got) is type(want) and got == want
 
 
 def test_graph_file_roundtrip():
