@@ -71,18 +71,6 @@ class KernelBounds(Record):
 
     __slots__ = ("ell", "k", "d", "e")
 
-    def __init__(
-        self,
-        ell: int,
-        k: int,
-        d: dict[int, int | Astronomical],
-        e: dict[int, int | Astronomical],
-    ):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-
 
 def compute_bounds(ell: int, k: int) -> KernelBounds:
     """Exact evaluation of the d_i / e_i recurrences, top of the ladder
@@ -98,7 +86,7 @@ def compute_bounds(ell: int, k: int) -> KernelBounds:
     for i in range(k - 1, 0, -1):
         d[i] = _pow2(factor * (e[i + 1] ** i)) + 1
         e[i] = d[i] * e[i + 1] + 1
-    return KernelBounds(ell=ell, k=k, d=d, e=e)
+    return KernelBounds(ell, k, d, e)
 
 
 def format_bound(value: int | Astronomical) -> str:

@@ -35,9 +35,11 @@ from .formats import (
 )
 from .instance import INT_RE, IlpError, max_abs_coefficient
 from .kernelizer import kernelize, lift_solution
+from .outcome import SolveOutcome
 from .structure import (
     StructureError,
     TreedepthDecomposition,
+    _is_int_list,
     build_primal_graph,
     decompose,
     dfs_treedepth_heuristic,
@@ -96,15 +98,15 @@ def _cmd_lift(args) -> int:
     assignment = solution.get("assignment") if isinstance(solution, dict) else None
     if not isinstance(assignment, dict):
         raise IlpError("solution file has no assignment to lift")
+    value = solution.get("value")
+    if not (value is None or _is_int_list([value])):
+        raise IlpError(f"solution value {value!r} is not an integer")
+    if not _is_int_list(list(assignment.values())):
+        raise IlpError("solution assignment holds a value that is not an integer")
     lifted = lift_solution(trace, assignment, by_name=True)
-    doc = {
-        "status": solution.get("status"),
-        "value": solution.get("value"),
-        "assignment": {name: lifted[name] for name in sorted(lifted)},
-        "kernel_vars": len(assignment),
-        "original_vars": len(lifted),
-    }
-    print(json.dumps(doc, indent=2))
+    # the outcome rejects an unknown status and a solution under a status without one
+    outcome = SolveOutcome(solution.get("status"), value, lifted, len(assignment), len(lifted))
+    print(outcome.to_json())
     return OK
 
 

@@ -16,7 +16,9 @@ from collections.abc import Iterable, Mapping
 
 from .instance import IlpInstance
 from .kernelizer import KernelError, TraceStep
-from .structure import ROOT, Graph, StructureError, TreedepthDecomposition, _is_int_list
+from .structure import (
+    _TD_HEAD, _TD_TAIL, ROOT, Graph, StructureError, TreedepthDecomposition, _is_int_list,
+)
 
 # ---------------------------------------------------------------------------
 # instance text
@@ -134,9 +136,8 @@ def witness_to_json(witness: TreedepthDecomposition | TreeDecompositionWitness) 
         nodes = witness.nodes()
         if nodes != tuple(range(len(nodes))):
             raise StructureError("treedepth witness JSON needs dense nodes 0..n-1")
-        return json.dumps(
-            {"kind": "treedepth", "parent": [witness.parent[v] for v in nodes]}
-        )
+        parents = [witness.parent[v] for v in nodes]
+        return _TD_HEAD + ", ".join(map(str, parents)) + _TD_TAIL
     if isinstance(witness, TreeDecompositionWitness):
         nodes = tuple(sorted(witness.tree))
         if nodes != tuple(range(len(nodes))):
@@ -233,10 +234,10 @@ def trace_from_json(text: str) -> tuple[TraceStep, ...]:
     for item in doc:
         try:
             step = TraceStep(
-                omitted=tuple(_json_id(v) for v in item["omitted"]),
-                keeper_root=_json_id(item["keeper_root"]),
-                delta={_json_key(src): _json_id(dst) for src, dst in item["delta"].items()},
-                names={_json_key(v): str(name) for v, name in item.get("names", {}).items()},
+                tuple(_json_id(v) for v in item["omitted"]),
+                _json_id(item["keeper_root"]),
+                {_json_key(src): _json_id(dst) for src, dst in item["delta"].items()},
+                {_json_key(v): str(name) for v, name in item.get("names", {}).items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise KernelError(f"malformed trace step: {exc}") from None

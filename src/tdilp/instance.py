@@ -58,15 +58,21 @@ INT_RE = re.compile(r"[+-]?[0-9]+")
 class Record:
     """Immutable value record over the fields named in ``__slots__``.
 
-    Equal to a record of the same class with equal fields and hashed by its
-    fields.  Assignment is closed, so a subclass's ``__init__`` takes its
-    fields in ``__slots__`` order and sets each one through
-    ``object.__setattr__``.  Every ``tdilp solve`` is a fresh process that
+    Takes its fields by position, in ``__slots__`` order.  Equal to a record
+    of the same class with equal fields and hashed by its fields.
+    Assignment is closed.  Every ``tdilp solve`` is a fresh process that
     imports the records; importing ``dataclasses`` and building frozen
     dataclasses would cost more than a small solve.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -99,17 +105,10 @@ class VariableId(Record):
 
     __slots__ = ("id", "name")
 
+    # its own setter, not Record's: parsing builds one per name, and this is twice as fast
     def __init__(self, id: int, name: str):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "name", name)
-
-
-def _merge_terms(terms: dict[int, int] | Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Sum the coefficients per variable id, drop zeros, sort by id."""
-    merged: dict[int, int] = {}
-    for var, coeff in terms.items() if isinstance(terms, dict) else terms:
-        merged[var] = merged.get(var, 0) + coeff
-    return tuple(sorted((v, c) for v, c in merged.items() if c != 0))
 
 
 class _Terms(Record):
@@ -144,25 +143,13 @@ class LinearConstraint(_Terms):
 
     __slots__ = ("terms", "rhs")
 
+    # its own setter, not Record's: parsing builds one per row, and this is twice as fast
     def __init__(self, terms: tuple[tuple[int, int], ...], rhs: int):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "rhs", rhs)
 
-    @staticmethod
-    def make(terms: dict[int, int] | Iterable[tuple[int, int]], rhs: int) -> "LinearConstraint":
-        cleaned = _merge_terms(terms)
-        if not cleaned:
-            raise IlpError("constraint has no variables after dropping zero coefficients")
-        return LinearConstraint(cleaned, rhs)
-
     def is_satisfied(self, assignment: Mapping[int, int]) -> bool:
         return self.evaluate(assignment) <= self.rhs
-
-    def renamed(self, mapping: Mapping[int, int]) -> "LinearConstraint":
-        """Rewrite variable ids through ``mapping`` (identity off its domain)."""
-        return LinearConstraint.make(
-            [(mapping.get(v, v), c) for v, c in self.terms], self.rhs
-        )
 
     def sort_key(self):
         return (self.terms, self.rhs)
@@ -173,12 +160,9 @@ class LinearObjective(_Terms):
 
     __slots__ = ("terms",)
 
+    # its own setter, not Record's: it is on the parse path, like the rows
     def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "terms", terms)
-
-    @staticmethod
-    def make(terms: dict[int, int] | Iterable[tuple[int, int]]) -> "LinearObjective":
-        return LinearObjective(_merge_terms(terms))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -35,11 +35,6 @@ class EquivalenceWitness(Record):
 
     __slots__ = ("x", "y", "delta")
 
-    def __init__(self, x: int, y: int, delta: dict[int, int]):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "delta", delta)
-
 
 class TraceStep(Record):
     """One prune: the omitted subtree, its kept twin, and the renaming.
@@ -50,18 +45,6 @@ class TraceStep(Record):
     """
 
     __slots__ = ("omitted", "keeper_root", "delta", "names")
-
-    def __init__(
-        self,
-        omitted: tuple[int, ...],
-        keeper_root: int,
-        delta: dict[int, int],
-        names: dict[int, str],
-    ):
-        object.__setattr__(self, "omitted", omitted)
-        object.__setattr__(self, "keeper_root", keeper_root)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "names", names)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +209,7 @@ def test_equivalence(
     if sx.signature != sy.signature:
         return None
     delta = _find_renaming(sx, sy, {})
-    return None if delta is None else EquivalenceWitness(x=x, y=y, delta=delta)
+    return None if delta is None else EquivalenceWitness(x, y, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ class _Pruner:
                 for k, keeper in keepers:
                     delta = _find_renaming(keeper, sibling, sig_ids)
                     if delta is not None:
-                        hits.append((EquivalenceWitness(x=k, y=c, delta=delta), sibling.nodes, rows))
+                        hits.append((EquivalenceWitness(k, c, delta), sibling.nodes, rows))
                         break
                 else:
                     keepers.append((c, sibling))
@@ -308,12 +291,8 @@ class _Pruner:
 def _trace_step(
     instance: IlpInstance, witness: EquivalenceWitness, gone: tuple[int, ...]
 ) -> TraceStep:
-    return TraceStep(
-        omitted=gone,
-        keeper_root=witness.x,
-        delta=dict(witness.delta),
-        names={v: instance.name_of(v) for v in sorted(set(gone) | set(witness.delta))},
-    )
+    names = {v: instance.name_of(v) for v in sorted(set(gone) | set(witness.delta))}
+    return TraceStep(gone, witness.x, dict(witness.delta), names)
 
 
 def find_equivalent_pair(

@@ -256,11 +256,17 @@ def _touching(instance: IlpInstance, nodes) -> list[LinearConstraint]:
 def _renames_onto(fx, delta: dict[int, int], target: set) -> bool:
     """Whether renaming fx through delta gives exactly the rows whose sort
     keys are target."""
-    try:
-        image = {c.renamed(delta).sort_key() for c in fx}
-    except IlpError:
-        # the rename cancelled a constraint to nothing; not a match
-        return False
+    image = set()
+    for c in fx:
+        merged: dict[int, int] = {}
+        for v, k in c.terms:
+            w = delta.get(v, v)
+            merged[w] = merged.get(w, 0) + k
+        terms = tuple(sorted((v, k) for v, k in merged.items() if k))
+        if not terms:
+            # the rename cancelled a constraint to nothing; not a match
+            return False
+        image.add((terms, c.rhs))
     return image == target
 
 

@@ -40,11 +40,7 @@ class SolveOutcome(Record):
                 raise ValueError(f"{status} outcome needs value and assignment")
         elif assignment is not None or value is not None:
             raise ValueError(f"{status} outcome must not carry a solution")
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "kernel_vars", kernel_vars)
-        object.__setattr__(self, "original_vars", original_vars)
+        super().__init__(status, value, assignment, kernel_vars, original_vars)
 
     def to_json(self, name_of=None) -> str:
         """Render for the CLI; ``name_of`` maps variable ids to names.

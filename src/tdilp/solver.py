@@ -25,7 +25,7 @@ from .instance import (
     evaluate_objective,
     max_abs_coefficient,
 )
-from .kernelizer import TraceStep, kernelize, lift_solution
+from .kernelizer import kernelize, lift_solution
 from .outcome import BOUND_EXHAUSTED, BOX_OPTIMAL, INFEASIBLE, OPTIMAL, UNBOUNDED, SolveOutcome
 from .structure import TreedepthDecomposition, decompose
 
@@ -38,7 +38,7 @@ class BoxBound(Record):
     def __init__(self, radius: int):
         if radius < 1:
             raise ValueError("box radius must be positive")
-        object.__setattr__(self, "radius", radius)
+        super().__init__(radius)
 
 
 def solution_bound(instance: IlpInstance) -> BoxBound:
@@ -103,7 +103,7 @@ class _SearchProgram:
 
     __slots__ = (
         "ids", "rows", "obj", "cut_terms", "cut_gcd", "lo_readers", "hi_readers",
-        "n", "tightest", "rows_contradict", "cut_opposite", "equalities", "var_eqs",
+        "n", "rows_contradict", "cut_opposite", "equalities", "var_eqs",
     )
 
     def __init__(self, instance: IlpInstance, propagate: bool = False):
@@ -149,7 +149,7 @@ class _SearchProgram:
         # Rows are gcd-normalized, so every proportional pair is exactly
         # opposite: index the tightest rhs per direction once, and leave each
         # dive only its own cut row to check against the index.
-        self.tightest = tightest = {}
+        tightest = {}
         for ri, (terms, rhs) in enumerate(rows):
             if len(terms) > 1:
                 for j, c in terms:
@@ -520,9 +520,8 @@ def detect_unbounded(instance: IlpInstance) -> bool:
     if instance.objective.is_zero():
         return False
     rows = [LinearConstraint(c.terms, 0) for c in instance.constraints]
-    rows.append(
-        LinearConstraint.make({v: -c for v, c in instance.objective.terms}, -1)
-    )
+    # the objective's terms are sorted, merged and nonzero, so this row is canonical
+    rows.append(LinearConstraint(tuple((v, -c) for v, c in instance.objective.terms), -1))
     recession = IlpInstance(instance.variables, rows, instance.objective)
     radius = solution_bound(recession).radius
     return _dive(_SearchProgram(recession), radius, None, False) is not None
@@ -639,18 +638,6 @@ class PipelineInfo(Record):
     """Side facts about a solve, for reporting; td_mode is "given" or "dfs"."""
 
     __slots__ = ("td_mode", "decomposition", "kernel", "trace")
-
-    def __init__(
-        self,
-        td_mode: str,
-        decomposition: TreedepthDecomposition,
-        kernel: IlpInstance,
-        trace: tuple[TraceStep, ...],
-    ):
-        object.__setattr__(self, "td_mode", td_mode)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "trace", trace)
 
 
 def solve_pipeline(

@@ -157,13 +157,6 @@ class TreedepthDecomposition:
             u = self.parent[u]
         return tuple(reversed(path))
 
-    def is_ancestor(self, a: int, d: int) -> bool:
-        """True iff a == d or a lies on d's root path, in depth[d] - depth[a] steps."""
-        u = d
-        for _ in range(self._depth[d] - self._depth[a]):
-            u = self.parent[u]
-        return u == a
-
     def is_chain(self, vs: Iterable[int]) -> bool:
         """True iff the nodes lie on one root path: each is an ancestor of the
         deepest, so one walk up from it meets them all, deepest first.  Rows
@@ -284,8 +277,9 @@ def _is_int_list(value) -> bool:
     )
 
 
-# the exact text that ``formats.witness_to_json`` writes for a treedepth
-# decomposition is _TD_HEAD, the parents joined by ", ", then _TD_TAIL
+# the canonical text of a treedepth decomposition, which
+# ``formats.witness_to_json`` writes as ``json.dumps`` would: _TD_HEAD, the
+# parents joined by ", ", then _TD_TAIL
 _TD_HEAD = '{"kind": "treedepth", "parent": ['
 _TD_TAIL = "]}"
 

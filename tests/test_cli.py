@@ -200,10 +200,25 @@ KERNEL_SOLUTION = {"status": "optimal", "value": 4, "assignment": {"a1": 4, "z":
     ([{**GOOD_STEP, "delta": {"1_0": 1}, "names": {**GOOD_STEP["names"], "10": "z"}}], KERNEL_SOLUTION),
     ([{**GOOD_STEP, "delta": {" 0": 1}}], KERNEL_SOLUTION),
     ([{**GOOD_STEP, "delta": {"\u0663": 1}, "names": {**GOOD_STEP["names"], "3": "z"}}], KERNEL_SOLUTION),
+    # the solution itself must be an outcome that a solve can print
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "status": "banana"}),
+    ([GOOD_STEP], {"value": 4, "assignment": {"a1": 4, "z": 4}}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "status": "infeasible"}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "status": "infeasible", "value": None}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "value": None}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "value": "x"}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "value": 4.0}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "value": True}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "assignment": {"a1": "four", "z": 4}}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "assignment": {"a1": True, "z": 4}}),
+    ([GOOD_STEP], {**KERNEL_SOLUTION, "assignment": {"a1": 4, "z": 4.5}}),
 ], ids=[
     "delta-not-object", "unnamed-id", "solution-not-object",
     "omitted-bool", "keeper-root-float", "delta-float",
     "key-underscore", "key-space", "key-arabic-digit",
+    "status-unknown", "status-missing", "infeasible-with-solution", "infeasible-with-assignment",
+    "optimal-without-value", "value-string", "value-float", "value-bool",
+    "coordinate-string", "coordinate-bool", "coordinate-float",
 ])
 def test_lift_rejects_malformed_input(tmp_path, capsys, trace, solution):
     trace_file = tmp_path / "trace.json"
@@ -738,6 +753,7 @@ def test_cli_kernelize_solve_lift_matches_a_direct_solve(text):
         code, out, _ = _run_captured(["lift", "--trace", trace, "--solution", sol])
     assert code == 0
     lifted = json.loads(out)
+    assert out == json.dumps(lifted, indent=2) + "\n"  # the json writer's text, to the byte
     assert (lifted["status"], lifted["value"]) == (direct.status, direct.value)
     assignment = lifted["assignment"]
     assert len(assignment) == instance.n_variables

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdilp.bounds import KernelBounds, compute_bounds
 from tdilp.formats import serialize_instance
 from tdilp.instance import (
     IlpError,
@@ -16,6 +17,7 @@ from tdilp.instance import (
     InstanceBuilder,
     LinearConstraint,
     LinearObjective,
+    Record,
     VariableId,
     check_feasible,
     evaluate_objective,
@@ -24,6 +26,9 @@ from tdilp.instance import (
     _objective_text,
     parse_instance,
 )
+from tdilp.kernelizer import EquivalenceWitness, TraceStep
+from tdilp.outcome import SolveOutcome
+from tdilp.solver import BoxBound, PipelineInfo, solve_pipeline
 
 
 def test_parse_minimal():
@@ -210,38 +215,72 @@ def test_instance_equality_is_name_based():
 
 
 def test_constraint_normal_form():
-    c = LinearConstraint.make({3: 1, 1: 2, 2: 0}, 5)
-    assert c.terms == ((1, 2), (3, 1))  # zero coefficients dropped, id-sorted
-    assert c.evaluate({1: 1, 3: 1}) == 3
-    assert c.is_satisfied({1: 1, 3: 3})
-    with pytest.raises(IlpError):
-        LinearConstraint.make({}, 0)
+    # a parsed row sums the coefficients per name, drops the zero ones (d
+    # cancels) and sorts its terms by id, the rank of the name
+    ins = parse_instance("max: 0 b\nc + 2a + 0 b - a + c + d - d <= 5\n")
+    a, c = ins.id_of("a"), ins.id_of("c")
+    assert (a, c) == (0, 2)
+    (row,) = ins.constraints
+    assert row.terms == ((a, 1), (c, 2)) and row.rhs == 5
+    assert row.evaluate({a: 1, c: 1}) == 3
+    assert row.is_satisfied({a: 1, c: 2}) and not row.is_satisfied({a: 2, c: 2})
+
+
+def _record_classes(cls=Record):
+    """Every subclass of Record that has fields."""
+    for sub in cls.__subclasses__():
+        if sub.__slots__:
+            yield sub
+        yield from _record_classes(sub)
 
 
 def test_records_are_frozen_values():
-    # records compare and hash by field, are closed to assignment, and
-    # survive copy and pickle
+    # every record compares and hashes by field, is closed to assignment,
+    # survives copy and pickle, and takes exactly its fields by position
     x = VariableId(0, "x")
-    assert x == VariableId(0, "x") and hash(x) == hash(VariableId(0, "x"))
     assert x != VariableId(1, "x")
-    row = LinearConstraint.make({1: 2, 0: 1}, 3)
-    same = LinearConstraint(((0, 1), (1, 2)), 3)
-    assert row == same and hash(row) == hash(same)
+    row = LinearConstraint(((0, 1), (1, 2)), 3)
     assert row != LinearConstraint(row.terms, 4)
     assert LinearObjective(row.terms) != row
-    ins = IlpInstance([x, VariableId(1, "y")], [row, same], LinearObjective.make({0: 1}))
+    ins = IlpInstance([x, VariableId(1, "y")], [row, LinearConstraint(row.terms, 3)], LinearObjective())
     assert ins.constraints == (row,)
-    for record, field in ((x, "name"), (row, "rhs"), (LinearObjective(), "terms")):
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0)
-        with pytest.raises(AttributeError):
-            delattr(record, field)
+    outcome, info = solve_pipeline(parse_instance("max: x\nx + y <= 2\n-x <= 0\n-y <= 0\n"))
+    records = [
+        x, row, LinearObjective(), LinearObjective(((0, 1),)),
+        EquivalenceWitness(0, 1, {0: 1}),
+        TraceStep((1,), 0, {0: 1}, {0: "a", 1: "b"}),
+        outcome, SolveOutcome("infeasible"),
+        BoxBound(3),
+        info,
+        compute_bounds(1, 2),  # all exact: an Astronomical compares by identity
+    ]
+    assert {type(r) for r in records} == set(_record_classes())
+    assert isinstance(info, PipelineInfo) and isinstance(records[-1], KernelBounds)
+    for record in records:
+        cls, fields = type(record), [getattr(record, name) for name in record.__slots__]
+        same = cls(*fields)
+        assert same == record and same is not record
+        try:
+            assert hash(same) == hash(record)
+        except TypeError:  # a dict or an instance among the fields
+            pass
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+        # a SolveOutcome's fields after the status have defaults, as has an objective's terms
+        if cls not in (SolveOutcome, LinearObjective):
+            with pytest.raises(TypeError):
+                cls(*fields[:-1])
 
 
 def test_objective_can_be_empty():
-    o = LinearObjective.make({})
+    o = LinearObjective()
     assert o.is_zero()
     assert o.evaluate({}) == 0
 
@@ -274,7 +313,7 @@ def test_omit_variables_drops_touching_rows_and_keeps_ids():
 
 def test_duplicate_names_rejected():
     with pytest.raises(IlpError):
-        IlpInstance([VariableId(0, "x"), VariableId(1, "x")], [], LinearObjective.make({}))
+        IlpInstance([VariableId(0, "x"), VariableId(1, "x")], [], LinearObjective())
 
 
 def test_builder_matches_parser():

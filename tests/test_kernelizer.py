@@ -170,7 +170,7 @@ def test_kernel_value_matches_original_after_lift():
 
 
 def test_lift_missing_source_value():
-    trace = (TraceStep(omitted=(7,), keeper_root=5, delta={5: 7}, names={5: "a", 7: "b"}),)
+    trace = (TraceStep((7,), 5, {5: 7}, {5: "a", 7: "b"}),)
     with pytest.raises(KernelError):
         lift_solution(trace, {3: 0})
     with pytest.raises(KernelError):
@@ -543,7 +543,7 @@ def forests_over_planted(draw):
         return ins, draw(random_forests(ins.ids()))
     if kind == "objective":
         support = draw(st.lists(st.sampled_from(ins.ids()), min_size=1, max_size=2, unique=True))
-        objective = LinearObjective.make({v: 1 for v in support})
+        objective = LinearObjective(tuple((v, 1) for v in sorted(support)))
         return IlpInstance(ins.variables, ins.constraints, objective), dec
     v = draw(st.sampled_from(dec.nodes()))
     below = set(dec.subtree(v))

@@ -729,7 +729,6 @@ def _reference_index(rows, n, cut_terms):
         "rows": rows,
         "lo_readers": readers(1),
         "hi_readers": readers(-1),
-        "tightest": list(tightest.items()),
         "rows_contradict": any(
             rhs + tightest.get(_naive_opposite(key), -rhs) < 0 for key, rhs in tightest.items()
         ),
@@ -750,7 +749,6 @@ def _assert_single_pass_index(ins):
     extra = tdilp.solver._presolve_rows(first["rows"], program.obj)
     want = _reference_index(sorted(extra.union(raw)), n, cut_terms)
     got = {name: getattr(program, name) for name in want}
-    got["tightest"] = list(program.tightest.items())
     for name in want:
         assert got[name] == want[name], name
     return extra
