@@ -11,13 +11,15 @@ from .instance import Record
 from .structure import ROOT, Graph, StructureError, TreedepthDecomposition
 
 MAX_EXACT_BITS = 1_000_000
+EXACT_TREEDEPTH_CAP = 25  # vertices; the exact recursion is exponential in them
 NOTE_LIMIT = 80  # characters; a longer note prints as HUGE
 HUGE = "astronomically large"
 
 
-class Astronomical:
+class Astronomical(Record):
     """Placeholder for an exact integer too large to materialize, kept
-    as a printable note of at most NOTE_LIMIT characters."""
+    as a printable note of at most NOTE_LIMIT characters.  Two
+    placeholders are equal when they print alike."""
 
     __slots__ = ("note",)
 
@@ -31,13 +33,10 @@ class Astronomical:
             elif x < 10**NOTE_LIMIT:
                 texts.append(str(x))
             else:
-                self.note = HUGE
+                super().__init__(HUGE)
                 return
         note = template.format(*texts)
-        self.note = note if len(note) <= NOTE_LIMIT else HUGE
-
-    def __repr__(self):
-        return f"Astronomical({self.note})"
+        super().__init__(note if len(note) <= NOTE_LIMIT else HUGE)
 
     def __str__(self):
         return self.note
@@ -122,15 +121,15 @@ def _components_within(vset: frozenset[int], graph: Graph) -> list[frozenset[int
     return comps
 
 
-def compute_treedepth_exact(graph: Graph, cap: int = 25) -> tuple[int, TreedepthDecomposition]:
+def compute_treedepth_exact(graph: Graph) -> tuple[int, TreedepthDecomposition]:
     """Optimal treedepth with a witness, by the standard recursion:
     1 for a single vertex, 1 + min over deleted vertices when connected,
     max over components otherwise.  Memoized on vertex subsets; deletion
     candidates are tried in ascending id and the first optimum is kept.
     """
-    if graph.n > cap:
+    if graph.n > EXACT_TREEDEPTH_CAP:
         raise StructureError(
-            f"exact treedepth is capped at {cap} vertices, got {graph.n}"
+            f"exact treedepth is capped at {EXACT_TREEDEPTH_CAP} vertices, got {graph.n}"
         )
     memo: dict[frozenset[int], tuple[int, dict[int, int]]] = {}
 

@@ -92,18 +92,6 @@ def reduce_vertex_cover(graph: Graph, nu: int) -> IlpInstance:
 # ---------------------------------------------------------------------------
 # 3-coloring via prime encoding
 
-def _remainder_block(b: InstanceBuilder, g: str, p: int, m: str, r: str, u: str):
-    # g = p*m + r with 0 <= r <= p-1, u binary, and u = 0 iff r = 0
-    b.add_ge({m: 1}, 0)
-    b.add_ge({r: 1}, 0)
-    b.add_le({r: 1}, p - 1)
-    b.add_ge({u: 1}, 0)
-    b.add_le({u: 1}, 1)
-    b.add_eq({g: 1, m: -p, r: -1}, 0)
-    b.add_le({u: 1, r: -1}, 0)
-    b.add_le({r: 1, u: -(p - 1)}, 0)
-
-
 def reduce_three_coloring(graph: Graph) -> tuple[IlpInstance, TreedepthDecomposition]:
     """Feasible iff ``graph`` is 3-colorable.
 
@@ -122,55 +110,49 @@ def reduce_three_coloring(graph: Graph) -> tuple[IlpInstance, TreedepthDecomposi
     gs = ("g1", "g2", "g3")
     for g in gs:
         b.add_ge({g: 1}, 0)
+    above: dict[str, str | None] = {"g1": None, "g2": "g1", "g3": "g2"}  # parent by name
+
+    def remainder_block(g: str, p: int, m: str, r: str, u: str, under: str):
+        # g = p*m + r with 0 <= r <= p-1, u binary, and u = 0 iff r = 0
+        b.add_ge({m: 1}, 0)
+        b.add_ge({r: 1}, 0)
+        b.add_le({r: 1}, p - 1)
+        b.add_ge({u: 1}, 0)
+        b.add_le({u: 1}, 1)
+        b.add_eq({g: 1, m: -p, r: -1}, 0)
+        b.add_le({u: 1, r: -1}, 0)
+        b.add_le({r: 1, u: -(p - 1)}, 0)
+        above[r] = under
+        above[m] = r
 
     for w in graph.vertices:
         i = index[w]
         p = nth_prime(i)
-        us = [f"u_{i}_{j}" for j in (1, 2, 3)]
-        for j in (1, 2, 3):
-            _remainder_block(b, gs[j - 1], p, f"m_{i}_{j}", f"r_{i}_{j}", us[j - 1])
-        b.add_eq({us[0]: 1, us[1]: 1, us[2]: 1}, 2)
+        u1, u2, u3 = (f"u_{i}_{j}" for j in (1, 2, 3))
+        for j, u in enumerate((u1, u2, u3), 1):
+            remainder_block(gs[j - 1], p, f"m_{i}_{j}", f"r_{i}_{j}", u, u3)
+        b.add_eq({u1: 1, u2: 1, u3: 1}, 2)
+        above.update({u1: "g3", u2: u1, u3: u2})
 
     for w, v in sorted((min(e), max(e)) for e in graph.edges):
         iw, iv = index[w], index[v]
         for j in (1, 2, 3):
+            uw, uv = f"ue_{iw}_{iv}_{iw}_{j}", f"ue_{iw}_{iv}_{iv}_{j}"
             for t in (iw, iv):
-                _remainder_block(
-                    b,
+                remainder_block(
                     gs[j - 1],
                     nth_prime(t),
                     f"me_{iw}_{iv}_{t}_{j}",
                     f"re_{iw}_{iv}_{t}_{j}",
                     f"ue_{iw}_{iv}_{t}_{j}",
+                    uv,
                 )
-            b.add_ge({f"ue_{iw}_{iv}_{iw}_{j}": 1, f"ue_{iw}_{iv}_{iv}_{j}": 1}, 1)
+            b.add_ge({uw: 1, uv: 1}, 1)
+            above.update({uw: "g3", uv: uw})
 
     instance = b.build()
     vid = instance.id_of
-
-    parent: dict[int, int] = {vid("g1"): ROOT, vid("g2"): vid("g1"), vid("g3"): vid("g2")}
-    g3 = vid("g3")
-    for w in graph.vertices:
-        i = index[w]
-        u1, u2, u3 = (vid(f"u_{i}_{j}") for j in (1, 2, 3))
-        parent[u1] = g3
-        parent[u2] = u1
-        parent[u3] = u2
-        for j in (1, 2, 3):
-            r, m = vid(f"r_{i}_{j}"), vid(f"m_{i}_{j}")
-            parent[r] = u3
-            parent[m] = r
-    for w, v in sorted((min(e), max(e)) for e in graph.edges):
-        iw, iv = index[w], index[v]
-        for j in (1, 2, 3):
-            uw = vid(f"ue_{iw}_{iv}_{iw}_{j}")
-            uv = vid(f"ue_{iw}_{iv}_{iv}_{j}")
-            parent[uw] = g3
-            parent[uv] = uw
-            for t in (iw, iv):
-                r, m = vid(f"re_{iw}_{iv}_{t}_{j}"), vid(f"me_{iw}_{iv}_{t}_{j}")
-                parent[r] = uv
-                parent[m] = r
+    parent = {vid(n): ROOT if a is None else vid(a) for n, a in above.items()}
     return instance, TreedepthDecomposition(parent)
 
 
@@ -239,16 +221,11 @@ class GadgetSpec:
         return self.q.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class _GadgetShape:
-    # name bookkeeping handed from row emission to witness assembly
-    spec: GadgetSpec
-    h: tuple[str, ...]
-    hp: tuple[str, ...]
-    z: tuple[str, ...]
-
-
-def _emit_gadget(b: InstanceBuilder, spec: GadgetSpec) -> _GadgetShape:
+def _emit_gadget(
+    b: InstanceBuilder, spec: GadgetSpec
+) -> tuple[list[tuple[str, ...]], dict[int, tuple[str, ...]]]:
+    """Emit the gadget's rows; return its width-2 witness path by name:
+    spine bags in feeder-to-y order, plus ladder bags keyed by spine index."""
     m = spec.b_max()
     bits = set(spec.bits())
     h = tuple(f"h{spec.prefix}_{i}" for i in range(m + 1))
@@ -260,9 +237,11 @@ def _emit_gadget(b: InstanceBuilder, spec: GadgetSpec) -> _GadgetShape:
     else:
         b.add_ge({h[0]: 1}, 0)
         b.add_le({h[0]: 1}, 1)
+    ladders: dict[int, tuple[str, ...]] = {}
     for i in range(m):
         b.add_eq({hp[i]: 1, h[i]: -1}, 0)
         b.add_eq({h[i + 1]: 1, h[i]: -1, hp[i]: -1}, 0)
+        ladders[2 * i + 1] = (h[i], hp[i], h[i + 1])
 
     feeder = {spec.x: 1} if spec.x is not None else {}
     if 0 in bits:
@@ -271,13 +250,16 @@ def _emit_gadget(b: InstanceBuilder, spec: GadgetSpec) -> _GadgetShape:
         b.add_eq({z[0]: 1, spec.x: -1}, 0)
     else:
         b.add_eq({z[0]: 1}, 0)
+    spine = [(z[0], h[0], *feeder)]
     for i in range(m):
         step = {z[i + 1]: 1, z[i]: -1}
         if i + 1 in bits:
             step[h[i + 1]] = -1
         b.add_eq(step, 0)
+        spine += [(z[i], h[i], h[i + 1]), (z[i], h[i + 1], z[i + 1])]
     b.add_eq({spec.y: 1, z[m]: -1}, 0)
-    return _GadgetShape(spec, h, hp, z)
+    spine.append((z[m], spec.y))
+    return spine, ladders
 
 
 def build_gadget(spec: GadgetSpec) -> IlpInstance:
@@ -285,43 +267,6 @@ def build_gadget(spec: GadgetSpec) -> IlpInstance:
     b = InstanceBuilder()
     _emit_gadget(b, spec)
     return b.build()
-
-
-def _gadget_chain(shape: _GadgetShape, vid) -> tuple[list[frozenset[int]], dict[int, frozenset[int]]]:
-    """Spine bags in feeder-to-y order, plus ladder bags keyed by spine index."""
-    spec = shape.spec
-    m = spec.b_max()
-    h = [vid(n) for n in shape.h]
-    hp = [vid(n) for n in shape.hp]
-    z = [vid(n) for n in shape.z]
-    first = {z[0], h[0]}
-    if spec.x is not None:
-        first.add(vid(spec.x))
-    spine = [frozenset(first)]
-    ladders: dict[int, frozenset[int]] = {}
-    for i in range(m):
-        ladders[len(spine)] = frozenset({h[i], hp[i], h[i + 1]})
-        spine.append(frozenset({z[i], h[i], h[i + 1]}))
-        spine.append(frozenset({z[i], h[i + 1], z[i + 1]}))
-    spine.append(frozenset({z[m], vid(spec.y)}))
-    return spine, ladders
-
-
-def _lay_chain(spine, ladders, parent, bags, attach: int, reverse: bool) -> dict[int, int]:
-    order = range(len(spine) - 1, -1, -1) if reverse else range(len(spine))
-    node_of: dict[int, int] = {}
-    prev = attach
-    for idx in order:
-        nid = len(bags)
-        bags[nid] = spine[idx]
-        parent[nid] = prev
-        node_of[idx] = nid
-        prev = nid
-    for idx, bag in ladders.items():
-        nid = len(bags)
-        bags[nid] = bag
-        parent[nid] = node_of[idx]
-    return node_of
 
 
 def reduce_subset_sum(s: SubsetSumInstance) -> tuple[IlpInstance, TreeDecompositionWitness]:
@@ -332,25 +277,26 @@ def reduce_subset_sum(s: SubsetSumInstance) -> tuple[IlpInstance, TreeDecomposit
     only the junction variable between them, so the width-2 witness is
     the per-gadget paths glued at the junction bags.
     """
-    shapes = []
     b = InstanceBuilder()
-    for k, q in enumerate(s.Q, 1):
-        if k == 1:
-            spec = GadgetSpec(q, HALF_OPEN, prefix="1", y="y_1")
-        else:
-            spec = GadgetSpec(q, OPEN, prefix=str(k), x=f"y_{k - 1}", y=f"y_{k}")
-        shapes.append(_emit_gadget(b, spec))
-    shapes.append(_emit_gadget(b, GadgetSpec(s.r, CLOSED, prefix="c", y=f"y_{s.n}")))
+    paths = [_emit_gadget(b, GadgetSpec(s.Q[0], HALF_OPEN, prefix="1", y="y_1"))]
+    for k, q in enumerate(s.Q[1:], 2):
+        paths.append(_emit_gadget(b, GadgetSpec(q, OPEN, prefix=str(k), x=f"y_{k - 1}", y=f"y_{k}")))
+    # the closed gadget hangs from its junction end: its path reversed
+    spine, ladders = _emit_gadget(b, GadgetSpec(s.r, CLOSED, prefix="c", y=f"y_{s.n}"))
+    paths.append((spine[::-1], {len(spine) - 1 - idx: bag for idx, bag in ladders.items()}))
     instance = b.build()
     vid = instance.id_of
 
     parent: dict[int, int] = {}
     bags: dict[int, frozenset[int]] = {}
     attach = ROOT
-    for shape in shapes[:-1]:
-        spine, ladders = _gadget_chain(shape, vid)
-        node_of = _lay_chain(spine, ladders, parent, bags, attach, reverse=False)
-        attach = node_of[len(spine) - 1]  # the bag holding this junction
-    spine, ladders = _gadget_chain(shapes[-1], vid)
-    _lay_chain(spine, ladders, parent, bags, attach, reverse=True)
+    for spine, ladders in paths:
+        first = len(bags)
+        for idx, bag in enumerate(spine):
+            parent[first + idx] = first + idx - 1 if idx else attach
+            bags[first + idx] = frozenset(map(vid, bag))
+        attach = len(bags) - 1  # the bag holding this gadget's junction
+        for idx, bag in ladders.items():
+            parent[len(bags)] = first + idx
+            bags[len(bags)] = frozenset(map(vid, bag))
     return instance, TreeDecompositionWitness(parent, bags)

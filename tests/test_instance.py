@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdilp.bounds import KernelBounds, compute_bounds
+from tdilp.bounds import Astronomical, KernelBounds, compute_bounds
 from tdilp.formats import serialize_instance
 from tdilp.instance import (
     IlpError,
@@ -252,7 +252,8 @@ def test_records_are_frozen_values():
         outcome, SolveOutcome("infeasible"),
         BoxBound(3),
         info,
-        compute_bounds(1, 2),  # all exact: an Astronomical compares by identity
+        Astronomical("2^{}", 12345),
+        compute_bounds(1, 3),
     ]
     assert {type(r) for r in records} == set(_record_classes())
     assert isinstance(info, PipelineInfo) and isinstance(records[-1], KernelBounds)

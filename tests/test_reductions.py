@@ -1,6 +1,8 @@
 """Generators: vertex cover, 3-coloring via prime encoding, subset sum."""
 
+import collections
 import itertools
+import random
 
 import pytest
 
@@ -30,9 +32,9 @@ from tdilp.reductions import (
     reduce_three_coloring,
     reduce_vertex_cover,
 )
-from tdilp.structure import build_primal_graph
+from tdilp.structure import ROOT, build_primal_graph
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import all_graphs, complete_graph, cycle_graph, odd_wheel, path_graph, petersen
 
 
 def test_nth_prime_values():
@@ -127,6 +129,37 @@ def test_three_coloring_witness_height_eight():
         ins, dec = reduce_three_coloring(g)
         assert verify_treedepth_decomposition(build_primal_graph(ins), dec)
         assert dec.height <= 8
+
+
+def _named_parent(name):
+    """The 3-coloring witness's parent of a variable, read off its name."""
+    kind, *idx = name.split("_")
+    if kind in ("g1", "g2", "g3"):
+        return {"g1": None, "g2": "g1", "g3": "g2"}[kind]
+    if kind == "u":
+        i, j = idx
+        return "g3" if j == "1" else f"u_{i}_{int(j) - 1}"
+    if kind in ("r", "m"):
+        i, j = idx
+        return f"u_{i}_3" if kind == "r" else f"r_{i}_{j}"
+    a, b, t, j = idx
+    if kind == "ue":
+        return "g3" if t == a else f"ue_{a}_{b}_{a}_{j}"
+    assert kind in ("re", "me"), name
+    return f"ue_{a}_{b}_{b}_{j}" if kind == "re" else f"re_{a}_{b}_{t}_{j}"
+
+
+def test_three_coloring_witness_follows_the_naming_rule():
+    # counters chain on top; each vertex's u chain and each edge's ue pair
+    # hangs from g3, and every remainder pair r -> m hangs from the last u
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    for g in graphs + [cycle_graph(5), complete_graph(4), odd_wheel(), petersen()]:
+        ins, dec = reduce_three_coloring(g)
+        assert dec.nodes() == tuple(ins.ids())
+        for v in ins.ids():
+            p = dec.parent[v]
+            got = None if p == ROOT else ins.name_of(p)
+            assert got == _named_parent(ins.name_of(v)), (sorted(g.edges), ins.name_of(v))
 
 
 def test_three_coloring_edgeless_graph():
@@ -270,11 +303,31 @@ def test_subset_sum_known_answers():
 
 
 def test_subset_sum_witness_width_two():
-    for Q, r in [((1, 2, 3), 6), ((5,), 5), ((10, 23, 31), 41)]:
+    rng = random.Random(5)
+    drawn = [
+        ([rng.randint(1, 300) for _ in range(rng.randint(1, 5))], rng.randint(1, 900))
+        for _ in range(30)
+    ]
+    for Q, r in [((1, 2, 3), 6), ((5,), 5), ((10, 23, 31), 41), *drawn]:
         ins, witness = reduce_subset_sum(SubsetSumInstance(Q, r))
         assert verify_tree_decomposition(build_primal_graph(ins), witness)
         assert witness.width <= 2
         assert max_abs_coefficient(ins) == 1
+        # a gadget's bags are its spine and ladders, grouped by the prefix
+        # of their h/hp/z variables: 3 per bit after the first, plus 2
+        names = {node: [ins.name_of(v) for v in bag] for node, bag in witness.bags.items()}
+        gadget_of = {}
+        for node, bag in names.items():
+            (prefix,) = {n.split("_")[0].lstrip("hpz") for n in bag if not n.startswith("y_")}
+            gadget_of[node] = prefix
+        want = {str(k): q for k, q in enumerate(Q, 1)} | {"c": r}
+        assert collections.Counter(gadget_of.values()) == {
+            prefix: 3 * (q.bit_length() - 1) + 2 for prefix, q in want.items()
+        }
+        # each junction sits in two bags, one the other's parent
+        for k in range(1, len(Q) + 1):
+            a, b = [node for node, bag in names.items() if f"y_{k}" in bag]
+            assert witness.tree[a] == b or witness.tree[b] == a
 
 
 def test_subset_sum_gadgets_share_only_junctions():

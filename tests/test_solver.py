@@ -26,8 +26,8 @@ import tdilp.kernelizer
 import tdilp.solver
 import tdilp.structure
 from tdilp.instance import check_feasible, evaluate_objective, max_abs_coefficient
-from tdilp.oracle import brute_force_ilp, brute_three_coloring
-from tdilp.reductions import reduce_three_coloring
+from tdilp.oracle import brute_force_ilp, brute_three_coloring, brute_vertex_cover
+from tdilp.reductions import reduce_three_coloring, reduce_vertex_cover
 from tdilp.solver import _crt, _propagate, _SearchProgram, bounded_search, detect_unbounded
 from tdilp.structure import ROOT, build_primal_graph, compute_treedepth_exact
 
@@ -690,6 +690,24 @@ def test_three_coloring_given_decomposition_matches_the_dfs_forest(graph):
     for outcome in (given, computed):
         if outcome.status == "optimal":
             assert check_feasible(ins, outcome.assignment)
+
+
+_NONEMPTY_GRAPHS = {name: g for name, g in _SMALL_GRAPHS.items() if g.n}
+
+
+@pytest.mark.parametrize("graph", _NONEMPTY_GRAPHS.values(), ids=_NONEMPTY_GRAPHS)
+def test_vertex_cover_exact_decomposition_matches_the_dfs_forest(graph):
+    # an optimal decomposition given to the solve and the DFS forest it
+    # computes itself must give one outcome, the oracle's verdict
+    for budget in range(1, graph.n + 1):
+        ins = reduce_vertex_cover(graph, budget)
+        given, given_info = solve_pipeline(ins, compute_treedepth_exact(build_primal_graph(ins))[1])
+        computed, computed_info = solve_pipeline(ins)
+        assert (given_info.td_mode, computed_info.td_mode) == ("given", "dfs")
+        assert given == computed, budget  # certificate and kernel size too
+        assert given.status == ("optimal" if brute_vertex_cover(graph, budget) else "infeasible")
+        if given.status == "optimal":
+            assert check_feasible(ins, given.assignment)
 
 
 def _naive_primitive(terms, rhs):
