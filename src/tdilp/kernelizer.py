@@ -10,7 +10,7 @@ the smaller instance lifts back by copying values through delta.
 Each sibling's touching rows are viewed once; the views give a
 renaming-invariant signature that groups the candidates (equivalent
 subtrees always collide).  The renaming that keeps the variables' order
-certifies a pair of a group when it works, a backtracking search otherwise.
+certifies a pair of a group when it works, a colour-refined search otherwise.
 """
 
 from __future__ import annotations
@@ -73,14 +73,13 @@ class _Sibling:
     """A sibling subtree (sorted variables) and its touching rows, each viewed once
     for the signature; only siblings whose signatures collide are compared."""
 
-    __slots__ = ("nodes", "rows", "inside", "views", "signature", "form",
-                 "var_sig", "var_rows", "pending", "keys", "pools", "free")
+    __slots__ = ("nodes", "rows", "inside", "views", "signature", "form")
 
     def __init__(self, nodes: tuple[int, ...], rows: tuple[LinearConstraint, ...]):
         self.nodes, self.rows, self.inside = nodes, rows, set(nodes)
         self.views = [_constraint_view(c, self.inside) for c in rows]
         self.signature = (len(nodes), tuple(sorted(self.views)))
-        self.form = self.var_sig = None
+        self.form = None
 
     def ordered_form(self) -> frozenset:
         """The rows with the i-th smallest variable written as -1 - i (ids are not
@@ -91,28 +90,6 @@ class _Sibling:
                 (tuple(sorted([(slot(v, v), k) for v, k in c.terms])), c.rhs) for c in self.rows
             )
         return self.form
-
-    def index(self, sig_ids: dict[tuple, int]) -> None:
-        """Both sides of a search, from the views: per-variable signatures as ids
-        in sig_ids, the rows a renaming reads, and the keys and pools it targets."""
-        inside, views = self.inside, self.views
-        entries: dict[int, list] = {v: [] for v in self.nodes}
-        self.var_rows = var_rows = {v: [] for v in self.nodes}
-        for ci, c in enumerate(self.rows):
-            for v, coeff in c.terms:
-                if v in inside:
-                    entries[v].append((coeff, views[ci]))
-                    var_rows[v].append(ci)
-        self.pending = [len(inner) for _, inner, _ in views]
-        number = sig_ids.setdefault
-        self.var_sig = {v: number(tuple(sorted(e)), len(sig_ids)) for v, e in entries.items()}
-        self.pools: dict[int, list[int]] = {}
-        for w, sig in self.var_sig.items():
-            self.pools.setdefault(sig, []).append(w)
-        # per pool, the sorted positions of candidates not placed yet (the
-        # next one is a binary search away); a failed search puts all back
-        self.free = {sig: list(range(len(pool))) for sig, pool in self.pools.items()}
-        self.keys = {(c.terms, c.rhs) for c in self.rows}
 
 
 def subtree_signature(instance: IlpInstance, nodes: Iterable[int]) -> tuple:
@@ -126,33 +103,68 @@ def subtree_signature(instance: IlpInstance, nodes: Iterable[int]) -> tuple:
 # equivalence testing
 
 
-def _find_renaming(x: _Sibling, y: _Sibling, sig_ids: dict[tuple, int]) -> dict[int, int] | None:
+def _refined_colours(x: _Sibling, y: _Sibling) -> dict[int, int]:
+    """Colour refinement over the variables of both siblings at once.
+
+    Every variable starts with one colour.  A round recolours each by, for
+    each of its rows, the row's view, its own coefficient there and the
+    sorted (coefficient, colour) pairs of the row's inside variables; the
+    first round gives each variable's (coefficient, view) multiset.  Rounds
+    stop when no colour class splits.  A renaming that maps x's rows onto
+    y's keeps every round's colours.
+    """
+    views: dict[tuple, int] = {}  # each view's number
+    rows = [(views.setdefault(view, len(views)), [(v, k) for v, k in c.terms if v in s.inside])
+            for s in (x, y) for c, view in zip(s.rows, s.views)]
+    colour, classes = dict.fromkeys((*x.nodes, *y.nodes), 0), 1
+    while True:
+        seen: dict[int, list] = {v: [] for v in colour}
+        for view, inner in rows:
+            around = (view, tuple(sorted([(k, colour[v]) for v, k in inner])))
+            for v, k in inner:
+                seen[v].append((k, around))
+        ids: dict[tuple, int] = {}
+        colour = {v: ids.setdefault(tuple(sorted(s)), len(ids)) for v, s in seen.items()}
+        if len(ids) == classes:
+            return colour
+        classes = len(ids)
+
+
+def _find_renaming(x: _Sibling, y: _Sibling) -> dict[int, int] | None:
     """The certified bijection search behind every equivalence verdict.
 
-    x and y are sibling subtrees with equal signatures, and sig_ids numbers
-    the per-variable signatures of their group.  Returns the first renaming
-    delta: x.nodes -> y.nodes, in ascending-id order of x's variables and of
-    each one's candidates, that maps x's rows exactly onto y's, or None.
-    The search keeps its own stack, so subtree size is not limited by the
-    recursion limit.  Equal signatures leave no row over both subtrees (seen
-    from y it names an id of x's, which no view from x does), so renamed ids
-    never collide and a renamed row's key is a plain (sorted terms, rhs) tuple.
+    x and y are sibling subtrees with equal signatures.  Returns the first
+    renaming delta: x.nodes -> y.nodes, in ascending-id order of x's
+    variables and of each one's candidates, that maps x's rows exactly onto
+    y's, or None.  The search keeps its own stack, so subtree size is not
+    limited by the recursion limit.  Equal signatures leave no row over both
+    subtrees (seen from y it names an id of x's, which no view from x does),
+    so renamed ids never collide and a renamed row's key is a plain
+    (sorted terms, rhs) tuple.
     """
     # when the renaming that keeps the order works, the search takes each
     # variable's first candidate, the next smallest of y's, and returns it
     if x.ordered_form() == y.ordered_form():
         return dict(zip(x.nodes, y.nodes))
-    for s in (x, y):
-        if s.var_sig is None:
-            s.index(sig_ids)
-    X, fx, var_rows, target_keys = x.nodes, x.rows, x.var_rows, y.keys
-    candidates = []
-    for v in X:
-        sig = x.var_sig[v]
-        if sig not in y.pools:
-            return None
-        candidates.append((y.pools[sig], y.free[sig]))
-    pending = list(x.pending)
+    X, fx, target_keys = x.nodes, x.rows, {(c.terms, c.rhs) for c in y.rows}
+    # a variable's candidates are y's variables of its colour: a renaming
+    # keeps colours, so it takes no other, and unequal classes rule it out
+    colour = _refined_colours(x, y)
+    if sorted(map(colour.get, X)) != sorted(map(colour.get, y.nodes)):
+        return None
+    pools: dict[int, list[int]] = {}
+    for w in y.nodes:
+        pools.setdefault(colour[w], []).append(w)
+    # per pool, its candidates and the sorted positions of those not placed
+    # yet (the next one is a binary search away)
+    slots = {key: (pool, list(range(len(pool)))) for key, pool in pools.items()}
+    candidates = [slots[colour[v]] for v in X]
+    var_rows: dict[int, list[int]] = {v: [] for v in X}
+    for ci, c in enumerate(fx):
+        for v, _ in c.terms:
+            if v in x.inside:
+                var_rows[v].append(ci)
+    pending = [len(inner) for _, inner, _ in x.views]
     delta: dict[int, int] = {}
     get = delta.get
     # pool positions of X[k] already tried at depth k; while X[k] is placed,
@@ -208,7 +220,7 @@ def test_equivalence(
               for s in (decomposition.subtree(x), decomposition.subtree(y)))
     if sx.signature != sy.signature:
         return None
-    delta = _find_renaming(sx, sy, {})
+    delta = _find_renaming(sx, sy)
     return None if delta is None else EquivalenceWitness(x, y, delta)
 
 
@@ -251,48 +263,46 @@ class _Pruner:
         # pruned nodes always form whole subtrees, so filtering is enough
         return tuple(v for v in self.decomposition.subtree(x) if v not in self.gone_vars)
 
-    def _touching(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
-        rows = {i for v in nodes for i in self.rows_of[v]}
-        return tuple(sorted(rows - self.gone_rows))
+    def _touching(self, nodes: tuple[int, ...]) -> tuple[LinearConstraint, ...]:
+        rows = {i for v in nodes for i in self.rows_of[v]} - self.gone_rows
+        return tuple(self.constraints[i] for i in sorted(rows))
 
-    def prune(self, kids: Iterable[int]) -> list[tuple[EquivalenceWitness, tuple[int, ...]]]:
+    def prune(self, kids: Iterable[int]) -> list[EquivalenceWitness]:
         """Prune every objective-free sibling in kids (ascending ids) that
-        has a smaller-id twin.  Returns (witness from the class's smallest
-        id, pruned subtree) in trace order: classes by smallest id, then
+        has a smaller-id twin.  Returns one witness per pruned twin, from the
+        class's smallest id, in trace order: classes by smallest id, then
         ascending pruned id."""
         kids = [c for c in kids if c not in self.holders]
         if len(kids) < 2:
             return []
-        groups: dict[tuple, list] = {}
+        groups: dict[tuple, list[tuple[int, _Sibling]]] = {}
         for c in kids:
             nodes = self._subtree(c)
-            rows = self._touching(nodes)
-            sibling = _Sibling(nodes, tuple(self.constraints[i] for i in rows))
-            groups.setdefault(sibling.signature, []).append((c, sibling, rows))
+            sibling = _Sibling(nodes, self._touching(nodes))
+            groups.setdefault(sibling.signature, []).append((c, sibling))
         hits = []
         for members in groups.values():
-            sig_ids: dict[tuple, int] = {}
             keepers: list[tuple[int, _Sibling]] = []
-            for c, sibling, rows in members:
+            for c, sibling in members:
                 for k, keeper in keepers:
-                    delta = _find_renaming(keeper, sibling, sig_ids)
+                    delta = _find_renaming(keeper, sibling)
                     if delta is not None:
-                        hits.append((EquivalenceWitness(k, c, delta), sibling.nodes, rows))
+                        hits.append(EquivalenceWitness(k, c, delta))
                         break
                 else:
                     keepers.append((c, sibling))
-        hits.sort(key=lambda hit: (hit[0].x, hit[0].y))
-        for _, nodes, rows in hits:
-            self.gone_vars.update(nodes)
-            self.gone_rows.update(rows)
-        return [(witness, nodes) for witness, nodes, _ in hits]
+        hits.sort(key=lambda w: (w.x, w.y))
+        for witness in hits:
+            pruned = witness.delta.values()
+            self.gone_vars.update(pruned)
+            self.gone_rows.update(i for v in pruned for i in self.rows_of[v])
+        return hits
 
 
-def _trace_step(
-    instance: IlpInstance, witness: EquivalenceWitness, gone: tuple[int, ...]
-) -> TraceStep:
-    names = {v: instance.name_of(v) for v in sorted(set(gone) | set(witness.delta))}
-    return TraceStep(gone, witness.x, dict(witness.delta), names)
+def _trace_step(instance: IlpInstance, witness: EquivalenceWitness) -> TraceStep:
+    omitted = tuple(sorted(witness.delta.values()))
+    names = {v: instance.name_of(v) for v in sorted({*omitted, *witness.delta})}
+    return TraceStep(omitted, witness.x, dict(witness.delta), names)
 
 
 def find_equivalent_pair(
@@ -304,7 +314,7 @@ def find_equivalent_pair(
     max id) order; z=None addresses the virtual root above all trees."""
     kids = decomposition.roots() if z is None else decomposition.children(z)
     hits = _Pruner(instance, decomposition).prune(kids)
-    return hits[0][0] if hits else None
+    return hits[0] if hits else None
 
 
 def prune_step(
@@ -316,9 +326,8 @@ def prune_step(
     witness = find_equivalent_pair(instance, decomposition, z)
     if witness is None:
         return None
-    gone = decomposition.subtree(witness.y)
-    step = _trace_step(instance, witness, gone)
-    return omit_variables(instance, gone), decomposition.drop_nodes(gone), step
+    step = _trace_step(instance, witness)
+    return omit_variables(instance, step.omitted), decomposition.drop_nodes(step.omitted), step
 
 
 def kernelize(
@@ -337,22 +346,12 @@ def kernelize(
     decomposition is a treedepth decomposition of the primal graph.
     """
     pruner = _Pruner(instance, decomposition)
-    by_depth: dict[int, list[int]] = {}
-    for v in decomposition.nodes():
-        by_depth.setdefault(decomposition.depth_of(v), []).append(v)
+    parents = sorted(decomposition.nodes(), key=lambda v: -decomposition.depth_of(v))
     # the pruner checked that the objective's support lies on one root path,
     # whose tree it keeps: the virtual root is always safe to process
-    sibling_sets = [
-        decomposition.children(z)
-        for depth in range(decomposition.height - 1, 0, -1)
-        for z in by_depth[depth]
-    ]
-    sibling_sets.append(decomposition.roots())
-
+    sibling_sets = [*map(decomposition.children, parents), decomposition.roots()]
     steps = tuple(
-        _trace_step(instance, witness, gone)
-        for kids in sibling_sets
-        for witness, gone in pruner.prune(kids)
+        _trace_step(instance, witness) for kids in sibling_sets for witness in pruner.prune(kids)
     )
     if not steps:
         return instance, decomposition, steps
