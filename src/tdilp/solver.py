@@ -3,11 +3,12 @@
 The search is branch and bound over integer boxes: interval propagation
 per constraint plus the residue classes that equality rows with two free
 variables imply, endpoint-first or bisection branching, and an outer
-bisection on the objective value.  A certified box radius guarantees that
-a feasible instance has a feasible point inside the box, so "infeasible in the box"
-is a real infeasibility verdict whenever the box was not user-shrunk.
-Unboundedness reduces to feasibility of the integer recession system,
-solved by the same engine.
+search on the objective value down from the top of the propagated box.  A
+certified box radius guarantees that a feasible instance has a feasible
+point inside the box, so "infeasible in the box" is a real infeasibility
+verdict whenever the box was not user-shrunk.  Unboundedness reduces to
+feasibility of the integer recession system, solved by the same engine,
+and the ray it finds is checked like an assignment.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _primitive(terms, rhs: int):
 class _SearchProgram:
     """Instance compiled to index-based rows for the propagation loop.
 
-    Under propagate, the rows that _presolve_rows derives join the
-    instance's rows in the instance's canonical row order.
+    Under propagate, the rows that ``presolve._presolve_rows`` derives
+    join the instance's rows in the instance's canonical row order.
     """
 
     __slots__ = (
@@ -127,6 +128,8 @@ class _SearchProgram:
         ]
         self.rows = rows = [_primitive(terms, rhs) for terms, rhs in raw]
         if propagate:
+            from .presolve import _presolve_rows  # compiled only by --propagate solves
+
             # the derived rows take their places in sorted(extra | raw), and
             # like every row are made primitive after that sort
             for row in sorted(_presolve_rows(rows, obj)):
@@ -455,11 +458,15 @@ def _maximize(
     hit: tuple[list[int], int],
     min_domain_branching: bool,
 ) -> tuple[list[int], int]:
-    """Bisect on the objective value upward from a first-feasible dive.
+    """Search on the objective value upward from a first-feasible dive.
 
-    Each probe asks for the first leaf satisfying the rows plus obj >= t,
-    so the work per probe stays logarithmic in the box radius instead of
-    creeping upward one incumbent at a time.  The certificate is the first
+    Each probe asks for the first leaf satisfying the rows plus obj >= t.
+    The probes start from the top: the objective's maximum over the box
+    that propagating every row (no cut) leaves, which is sound because
+    propagation removes only points that break a row.  They gallop down
+    (top, top-1, top-3, top-7, ...) to the first success and bisect between
+    it and the last failure, so their count follows log2(top - optimum),
+    not the bit length of the radius.  The certificate is the first
     optimum in the fixed leaf order.  Under lowest-id branching that is the
     last successful probe's point: it is the lexicographically first point
     of value >= t for some t <= optimum, and its value is the optimum.
@@ -468,8 +475,18 @@ def _maximize(
     """
     if not program.cut_terms:
         return hit
-    lo = hit[1]
-    hi = sum(abs(c) for c in program.obj) * radius
+    box_lo, box_hi = [-radius] * program.n, [radius] * program.n
+    _propagate(program, box_lo, box_hi, {}, None)
+    top = sum(c * (box_hi[j] if c > 0 else box_lo[j]) for j, c in enumerate(program.obj) if c)
+    # lo is reached and every value above hi is refuted
+    lo, hi, t, drop = hit[1], top, top, 1
+    while t > lo:
+        probe = _dive(program, radius, t, min_domain_branching)
+        if probe is not None:
+            hit = probe
+            lo = probe[1]
+            break
+        hi, t, drop = t - 1, t - drop, 2 * drop
     while lo < hi:
         mid = lo + (hi - lo + 1) // 2
         probe = _dive(program, radius, mid, min_domain_branching)
@@ -510,84 +527,24 @@ def bounded_search(
 # unboundedness
 
 
-def detect_unbounded(instance: IlpInstance) -> bool:
-    """Feasibility of the integer recession system {A d <= 0, obj . d >= 1}.
+def detect_unbounded(instance: IlpInstance) -> dict[int, int] | None:
+    """An integer point of the recession system {A d <= 0, obj . d >= 1},
+    keyed by variable id, or None when it has none.
 
-    For a feasible instance this is exactly unboundedness of the
-    objective: any such direction can be added to a feasible point
-    forever, and conversely an unbounded rational ray scales to one.
+    For a feasible instance such a ray exists exactly when the objective is
+    unbounded: it can be added to a feasible point forever, and conversely
+    an unbounded rational ray scales to one.
     """
     if instance.objective.is_zero():
-        return False
+        return None
     rows = [LinearConstraint(c.terms, 0) for c in instance.constraints]
     # the objective's terms are sorted, merged and nonzero, so this row is canonical
     rows.append(LinearConstraint(tuple((v, -c) for v, c in instance.objective.terms), -1))
     recession = IlpInstance(instance.variables, rows, instance.objective)
     radius = solution_bound(recession).radius
-    return _dive(_SearchProgram(recession), radius, None, False) is not None
-
-
-# ---------------------------------------------------------------------------
-# domain presolve (the --propagate pass)
-
-
-def _presolve_rows(rows, obj: list[int]) -> set[tuple[tuple[tuple[int, int], ...], int]]:
-    """Rows the propagate flag adds to the primitive rows of a search program.
-
-    Both rewrites are sound and concern remainder equalities g - p*m - r = 0
-    whose r is confined to [0, p-1]:
-      * remainder aliasing: two such rows g = p*m1 + r1 = p*m2 + r2 force
-        r1 = r2 at every integer point, so that equality is added;
-      * modular envelope: when g >= 0 occurs only in such rows and in upper
-        bounds on itself, each m only in its row pair and in m >= 0, and
-        all of them are objective-free, any feasible point translates to
-        one with g < lcm(p), so the bound g <= lcm(p) - 1 is added.
-    """
-    # tightest as _SearchProgram indexes it, and each variable's rows, which
-    # only the rewrites read
-    var_rows: list[list[int]] = [[] for _ in obj]
-    tightest: dict[tuple[tuple[int, int], ...], int] = {}
-    for ri, (terms, rhs) in enumerate(rows):
-        for j, _ in terms:
-            var_rows[j].append(ri)
-        if tightest.get(terms, rhs) >= rhs:
-            tightest[terms] = rhs
-    by_gp: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    by_g: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
-    for key, rhs in tightest.items():
-        # each equality row pair once, as _SearchProgram.equalities lists it
-        if rhs != 0 or len(key) != 3 or key[0][1] < 0 or tightest.get(_opposite(key)) != 0:
-            continue
-        for terms in (key, _opposite(key)):
-            (m, neg_p), (r, neg_one), (g, one) = sorted(terms, key=lambda t: t[1])
-            if neg_p > -2 or neg_one != -1 or one != 1:
-                continue
-            p = -neg_p
-            if tightest.get(((r, -1),), 1) > 0 or tightest.get(((r, 1),), p) >= p:
-                continue
-            by_gp.setdefault((g, p), []).append((m, r))
-            if obj[m] == 0 and len(var_rows[m]) == 2 + (tightest.get(((m, -1),)) == 0):
-                by_g.setdefault(g, []).append((p, terms))
-
-    extra = set()
-    for entries in by_gp.values():
-        base_r = min(entries)[1]
-        for _, r in entries:
-            if r != base_r:
-                alias = tuple(sorted(((base_r, 1), (r, -1))))
-                extra.update(((alias, 0), (_opposite(alias), 0)))
-    for g, pats in by_g.items():
-        if obj[g] != 0 or tightest.get(((g, -1),)) != 0:
-            continue
-        allowed = {((g, -1),)}
-        for _, terms in pats:
-            allowed.update((terms, _opposite(terms)))
-        if all(
-            rows[ri][0] == ((g, 1),) or (rows[ri][1] == 0 and rows[ri][0] in allowed)
-            for ri in var_rows[g]
-        ):
-            extra.add((((g, 1),), math.lcm(*(p for p, _ in pats)) - 1))
-    return extra
+    program = _SearchProgram(recession)
+    hit = _dive(program, radius, None, False)
+    return None if hit is None else dict(zip(program.ids, hit[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +576,13 @@ def solve_core(
 
     status = OPTIMAL
     if not instance.objective.is_zero():
-        if detect_unbounded(instance):
+        ray = detect_unbounded(instance)
+        if ray is not None:
+            # checked like an assignment: A d <= 0 and obj . d >= 1
+            if instance.objective.evaluate(ray) < 1 or any(
+                row.evaluate(ray) > 0 for row in instance.constraints
+            ):
+                raise InternalError("search returned an invalid recession ray")
             return SolveOutcome(UNBOUNDED)
         hit = _maximize(program, radius, hit, propagate)
         beaten = _dive(program, certified, hit[1] + 1, propagate) if radius < certified else None

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import tdilp
 import tdilp.cli
+import tdilp.twins
 from tdilp import (
     InstanceBuilder,
     check_feasible,
@@ -295,7 +296,7 @@ def test_oracle_ilp_without_numpy(two_blocks, capsys, monkeypatch):
     assert "'test' extra" in captured.err
 
 
-# the modules a `tdilp solve` process loads
+# the modules every `tdilp solve` process loads
 SOLVE_PATH = {
     "tdilp",
     "tdilp.cli",
@@ -316,7 +317,7 @@ def _imported(stderr: str) -> set[str]:
     }
 
 
-def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
+def test_cli_import_leaves_numpy_out(two_blocks, triangle, tmp_path):
     # every `tdilp solve` is a fresh process that compiles what it imports,
     # so the CLI loads the oracles (and numpy), the generators,
     # dataclasses and every other command's code only for the commands
@@ -340,16 +341,31 @@ def test_cli_import_leaves_numpy_out(two_blocks, tmp_path):
     assert tdilp.structure.compute_treedepth_exact is tdilp.bounds.compute_treedepth_exact
     assert tdilp.compute_treedepth_exact is tdilp.bounds.compute_treedepth_exact
     assert tdilp.serialize_instance is tdilp.formats.serialize_instance
+    for name in ("test_equivalence", "find_equivalent_pair", "prune_step",
+                 "constraints_touching", "subtree_signature"):
+        assert getattr(tdilp.kernelizer, name) is getattr(tdilp.twins, name)
 
-    solve = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "tdilp.cli", "solve", two_blocks],
-        env=env, capture_output=True, text=True,
-    )
-    assert solve.returncode == 0, solve.stderr
-    imported = _imported(solve.stderr)
-    assert "tdilp.solver" in imported
-    assert {m for m in imported if m.split(".")[0] == "tdilp"} <= SOLVE_PATH
-    assert not imported & set(unwanted)
+    # a solve loads exactly the solve path, plus the twin search when two
+    # siblings' signatures collide and the presolve under --propagate
+    # (-m runs tdilp.cli as __main__, so no import line names it)
+    one, tri, tri_witness = tmp_path / "one.ilp", tmp_path / "tri.ilp", tmp_path / "tri.json"
+    one.write_text("max: x\nx <= 3\n")
+    assert run(["generate", "3col", "--graph", triangle, "-o", str(tri),
+                "--witness", str(tri_witness)]) == 0
+    for args, loaded in [
+        ([str(one)], set()),
+        ([two_blocks], {"tdilp.twins"}),
+        ([str(tri), "--td", str(tri_witness), "--propagate"], {"tdilp.presolve"}),
+    ]:
+        solve = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "tdilp.cli", "solve", *args],
+            env=env, capture_output=True, text=True,
+        )
+        assert solve.returncode == 0, solve.stderr
+        imported = _imported(solve.stderr)
+        tdilp_modules = {m for m in imported if m.split(".")[0] == "tdilp"}
+        assert tdilp_modules == SOLVE_PATH - {"tdilp.cli"} | loaded
+        assert not imported & set(unwanted)
 
     # a plain solve reads its arguments without argparse and writes its JSON
     # without json; -S keeps what `site` preloads (typing, pathlib, ...) out

@@ -31,7 +31,7 @@ from tdilp.instance import (
     evaluate_objective,
     omit_variables,
 )
-from tdilp import kernelizer
+from tdilp import kernelizer, twins
 from tdilp.kernelizer import (
     EquivalenceWitness,
     TraceStep,
@@ -585,14 +585,19 @@ def test_twin_search_takes_back_a_refuted_candidate():
     _, _, trace = kernelize(ins, dec)
     assert [step.delta for step in trace] == [{0: 4, 1: 6, 2: 5, 3: 7}]
     assert equivalence_reference(ins, dec, 0, 4) == {0: 4, 1: 6, 2: 5, 3: 7}
+    # the recorder of the oracle differential sees this search
+    assert _searched_pairs(ins, dec) == [
+        (frozenset(), (0, 1, 2, 3), (4, 5, 6, 7), {0: 4, 1: 6, 2: 5, 3: 7})
+    ]
 
 
 def _searched_pairs(ins, dec):
     """kernelize(ins, dec), recording every pair of siblings the pruner
     compares, as (variables pruned before it, keeper variables, twin
-    variables, delta found or None)."""
+    variables, delta found or None).  Every trace step must come from a
+    recorded pair, so a recorder that misses the search fails here."""
     pairs, gone = [], []
-    prune, find = kernelizer._Pruner.prune, kernelizer._find_renaming
+    prune, find = kernelizer._Pruner.prune, twins._find_renaming
 
     def recording_prune(self, kids):
         gone[:] = [frozenset(self.gone_vars)]
@@ -604,8 +609,10 @@ def _searched_pairs(ins, dec):
         return delta
 
     with mock.patch.object(kernelizer._Pruner, "prune", recording_prune), \
-            mock.patch.object(kernelizer, "_find_renaming", recording_find):
-        kernelize(ins, dec)
+            mock.patch.object(twins, "_find_renaming", recording_find):
+        _, _, trace = kernelize(ins, dec)
+    found = sum(delta is not None for *_, delta in pairs)
+    assert found == len(trace), "the recorder missed the twin search"
     return pairs
 
 

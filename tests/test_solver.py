@@ -4,6 +4,7 @@ import importlib.util
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,12 +24,22 @@ from tdilp import (
     solve_pipeline,
 )
 import tdilp.kernelizer
+import tdilp.presolve
 import tdilp.solver
 import tdilp.structure
-from tdilp.instance import check_feasible, evaluate_objective, max_abs_coefficient
+from tdilp.cli import run
+from tdilp.instance import InternalError, check_feasible, evaluate_objective, max_abs_coefficient
 from tdilp.oracle import brute_force_ilp, brute_three_coloring, brute_vertex_cover
 from tdilp.reductions import reduce_three_coloring, reduce_vertex_cover
-from tdilp.solver import _crt, _propagate, _SearchProgram, bounded_search, detect_unbounded
+from tdilp.solver import (
+    _crt,
+    _dive,
+    _maximize,
+    _propagate,
+    _SearchProgram,
+    bounded_search,
+    detect_unbounded,
+)
 from tdilp.structure import ROOT, build_primal_graph, compute_treedepth_exact
 
 from conftest import all_graphs, complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
@@ -167,9 +178,28 @@ def test_two_variable_sum():
 
 
 def test_detect_unbounded_directly():
-    assert detect_unbounded(_parse("max: x\n-x <= 0\n"))
-    assert not detect_unbounded(_parse("max: x\nx <= 5\n"))
-    assert not detect_unbounded(_parse("max: 0\n-x <= 0\n"))
+    # the recession dive's point, keyed by id: -d <= 0 and d >= 1 hold, and x
+    # has a positive objective coefficient, so the dive takes the box's top
+    assert detect_unbounded(_parse("max: x\n-x <= 0\n")) == {0: 4}
+    assert detect_unbounded(_parse("max: x\nx <= 5\n")) is None
+    assert detect_unbounded(_parse("max: 0\n-x <= 0\n")) is None
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ray: dict.fromkeys(ray, 0),  # obj . d = 0
+    lambda ray: {**ray, 1: 0},  # x - y = d_x > 0
+], ids=["objective", "row"])
+def test_a_corrupt_recession_ray_is_an_internal_error(monkeypatch, tmp_path, capsys, corrupt):
+    text = "max: x\nx - y <= 0\n"
+    ray = detect_unbounded(_parse(text))
+    assert ray[0] >= 1 and ray[0] - ray[1] <= 0
+    monkeypatch.setattr(tdilp.solver, "detect_unbounded", lambda ins: corrupt(ray))
+    with pytest.raises(InternalError, match="recession ray"):
+        solve_core(_parse(text))
+    path = tmp_path / "ray.ilp"
+    path.write_text(text)
+    assert run(["solve", str(path)]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_bounded_search_within_explicit_box():
@@ -540,6 +570,76 @@ def test_bounded_search_follows_the_oracle_leaf_order(case):
     assert (narrow.status, narrow.value) == (want.status, want.value)
 
 
+def _bisect_maximize(program, radius, hit, min_domain_branching):
+    """The objective search that probes start from the top replaced, kept as
+    the reference: bisection from the first dive's value up to
+    sum|c| * radius."""
+    if not program.cut_terms:
+        return hit
+    lo, hi = hit[1], sum(abs(c) for c in program.obj) * radius
+    while lo < hi:
+        mid = lo + (hi - lo + 1) // 2
+        probe = _dive(program, radius, mid, min_domain_branching)
+        if probe is None:
+            hi = mid - 1
+        else:
+            hit, lo = probe, probe[1]
+    if min_domain_branching:
+        hit = _dive(program, radius, lo, True)
+    return hit
+
+
+@given(box_programs(), st.integers(min_value=1, max_value=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bound_first_probes_match_plain_bisection(case, radius, narrow):
+    # same value and same certificate, in both branching modes
+    ins, _ = case
+    program = _SearchProgram(ins)
+    hit = _dive(program, radius, None, narrow)
+    assume(hit is not None)
+    assert _maximize(program, radius, hit, narrow) == _bisect_maximize(program, radius, hit, narrow)
+
+
+def _boxed_chain(n):
+    """x_i in [0, 3], x_i + x_{i+1} <= 4, max: x_0 + x_{n-1}: the optimum is
+    6, the kernel keeps all n variables, and the radius grows with n."""
+    b = InstanceBuilder()
+    xs = [b.var(f"x{i:04d}") for i in range(n)]
+    for x in xs:
+        b.add_le({x: 1}, 3)
+        b.add_ge({x: 1}, 0)
+    for x, y in zip(xs, xs[1:]):
+        b.add_le({x: 1, y: 1}, 4)
+    b.set_objective({xs[0]: 1, xs[-1]: 1})
+    return b.build()
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_boxed_chain_probes_ignore_the_radius(monkeypatch, n):
+    # bisecting up to sum|c| * radius took one dive per radius bit (518 at
+    # n = 500); the top of the propagated box is already the optimum, so the
+    # first dive and the recession dive are all that run
+    dives = []
+
+    def counted(*args):
+        dives.append(args[2])
+        return _dive(*args)
+
+    monkeypatch.setattr(tdilp.solver, "_dive", counted)
+    outcome = solve(_boxed_chain(n))
+    assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 6, n)
+    assert len(dives) <= 4
+
+
+def test_boxed_chain_of_4000_solves_in_seconds():
+    # CPU time of this process, so that other load on the host does not count
+    ins = _boxed_chain(4000)
+    start = time.process_time()
+    outcome = solve(ins)
+    assert time.process_time() - start < 3
+    assert (outcome.status, outcome.value) == ("optimal", 6)
+
+
 def test_crt_joins_residue_classes():
     assert _crt(0, 1, 4, 7) == (4, 7)
     assert _crt(2, 3, 3, 5) == (8, 15)  # coprime moduli
@@ -764,7 +864,7 @@ def _assert_single_pass_index(ins):
     index = {v: j for j, v in enumerate(ins.ids())}
     raw = [(tuple((index[v], c) for v, c in row.terms), row.rhs) for row in ins.constraints]
     first = _reference_index(raw, n, cut_terms)
-    extra = tdilp.solver._presolve_rows(first["rows"], program.obj)
+    extra = tdilp.presolve._presolve_rows(first["rows"], program.obj)
     want = _reference_index(sorted(extra.union(raw)), n, cut_terms)
     got = {name: getattr(program, name) for name in want}
     for name in want:
