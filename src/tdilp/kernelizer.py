@@ -9,8 +9,8 @@ the smaller instance lifts back by copying values through delta.
 
 Each sibling's touching rows are viewed once; the views give a
 renaming-invariant signature that groups the candidates (equivalent
-subtrees always collide).  The search that certifies a pair of a group is
-in ``twins``, which loads only when some group has two members.
+subtrees always collide).  A colliding pair is certified here when the
+order-keeping renaming works, else by the search in ``twins`` (loaded then).
 """
 
 from __future__ import annotations
@@ -64,16 +64,32 @@ def _constraint_view(constraint: LinearConstraint, inside: set[int]):
 
 class _Sibling:
     """A sibling subtree (sorted variables) and its touching rows, each viewed once
-    for the signature; only siblings whose signatures collide are compared, and
-    form keeps the twin search's ordered form of the rows (``twins``)."""
+    for the signature; only siblings whose signatures collide are compared."""
 
-    __slots__ = ("nodes", "rows", "inside", "views", "signature", "form")
+    __slots__ = ("nodes", "rows", "inside", "views", "signature")
 
     def __init__(self, nodes: tuple[int, ...], rows: tuple[LinearConstraint, ...]):
         self.nodes, self.rows, self.inside = nodes, rows, set(nodes)
         self.views = [_constraint_view(c, self.inside) for c in rows]
         self.signature = (len(nodes), tuple(sorted(self.views)))
-        self.form = None
+
+
+def _ordered_form(s: _Sibling) -> frozenset:
+    """s's rows with the i-th smallest variable written as -1 - i (ids are not
+    negative): equal forms make twins under the order-keeping renaming."""
+    slot = {v: -1 - i for i, v in enumerate(s.nodes)}.get
+    return frozenset((tuple(sorted([(slot(v, v), k) for v, k in c.terms])), c.rhs) for c in s.rows)
+
+
+def _renaming(x: _Sibling, fx: frozenset, y: _Sibling, fy: frozenset) -> dict[int, int] | None:
+    """delta: x.nodes -> y.nodes for colliding siblings with ordered forms fx
+    and fy, or None.  Equal forms give the order-keeping renaming, which is
+    then ``twins._find_renaming``'s first (its pools keep ascending ids, and a
+    renaming keeps colours); only unequal forms run that search."""
+    if fx == fy:
+        return dict(zip(x.nodes, y.nodes))
+    from .twins import _find_renaming  # compiled only for twins in no common order
+    return _find_renaming(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +149,18 @@ class _Pruner:
             sibling = _Sibling(nodes, self._touching(nodes))
             groups.setdefault(sibling.signature, []).append((c, sibling))
         collisions = [members for members in groups.values() if len(members) > 1]
-        if not collisions:
-            return []
-        from .twins import _find_renaming  # compiled only by solves with a collision
-
         hits = []
         for members in collisions:
-            keepers: list[tuple[int, _Sibling]] = []
+            keepers: list[tuple[int, _Sibling, frozenset]] = []
             for c, sibling in members:
-                for k, keeper in keepers:
-                    delta = _find_renaming(keeper, sibling)
+                form = _ordered_form(sibling)
+                for k, keeper, keeper_form in keepers:
+                    delta = _renaming(keeper, keeper_form, sibling, form)
                     if delta is not None:
                         hits.append(EquivalenceWitness(k, c, delta))
                         break
                 else:
-                    keepers.append((c, sibling))
+                    keepers.append((c, sibling, form))
         hits.sort(key=lambda w: (w.x, w.y))
         for witness in hits:
             pruned = witness.delta.values()

@@ -1,11 +1,9 @@
-"""The certified twin search, and the kernel's one-step public wrappers.
+"""The colour-refined twin search, and the kernel's one-step public wrappers.
 
-``kernelizer`` groups sibling subtrees by signature; this module decides
-whether two siblings whose signatures collide are twins.  The renaming
-that keeps the variables' order certifies a pair when it works, a
-colour-refined search otherwise.  ``_Pruner.prune`` imports this module
-only when a sibling set has a signature collision, so a solve whose
-siblings all differ never compiles it.
+``kernelizer`` groups sibling subtrees by signature and certifies a
+colliding pair itself when the order-keeping renaming works; it imports
+this module only to search any other pair, so a solve whose twins all keep
+a common order never compiles it.
 
 The wrappers (``test_equivalence``, ``find_equivalent_pair``,
 ``prune_step``, ``constraints_touching``, ``subtree_signature``) serve
@@ -40,18 +38,6 @@ def subtree_signature(instance: IlpInstance, nodes: Iterable[int]) -> tuple:
 # equivalence testing
 
 
-def _ordered_form(s: _Sibling) -> frozenset:
-    """s's rows with the i-th smallest variable written as -1 - i (ids are not
-    negative): equal forms make twins under the order-keeping renaming.
-    Kept on s, which may be compared with several keepers."""
-    if s.form is None:
-        slot = {v: -1 - i for i, v in enumerate(s.nodes)}.get
-        s.form = frozenset(
-            (tuple(sorted([(slot(v, v), k) for v, k in c.terms])), c.rhs) for c in s.rows
-        )
-    return s.form
-
-
 def _refined_colours(x: _Sibling, y: _Sibling) -> dict[int, int]:
     """Colour refinement over the variables of both siblings at once.
 
@@ -80,7 +66,7 @@ def _refined_colours(x: _Sibling, y: _Sibling) -> dict[int, int]:
 
 
 def _find_renaming(x: _Sibling, y: _Sibling) -> dict[int, int] | None:
-    """The certified bijection search behind every equivalence verdict.
+    """The certified bijection search, which the pruner runs on unequal ordered forms.
 
     x and y are sibling subtrees with equal signatures.  Returns the first
     renaming delta: x.nodes -> y.nodes, in ascending-id order of x's
@@ -91,10 +77,6 @@ def _find_renaming(x: _Sibling, y: _Sibling) -> dict[int, int] | None:
     so renamed ids never collide and a renamed row's key is a plain
     (sorted terms, rhs) tuple.
     """
-    # when the renaming that keeps the order works, the search takes each
-    # variable's first candidate, the next smallest of y's, and returns it
-    if _ordered_form(x) == _ordered_form(y):
-        return dict(zip(x.nodes, y.nodes))
     X, fx, target_keys = x.nodes, x.rows, {(c.terms, c.rhs) for c in y.rows}
     # a variable's candidates are y's variables of its colour: a renaming
     # keeps colours, so it takes no other, and unequal classes rule it out

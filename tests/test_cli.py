@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -345,16 +346,24 @@ def test_cli_import_leaves_numpy_out(two_blocks, triangle, tmp_path):
                  "constraints_touching", "subtree_signature"):
         assert getattr(tdilp.kernelizer, name) is getattr(tdilp.twins, name)
 
-    # a solve loads exactly the solve path, plus the twin search when two
-    # siblings' signatures collide and the presolve under --propagate
-    # (-m runs tdilp.cli as __main__, so no import line names it)
+    # a solve loads exactly the solve path, plus the twin search for twins
+    # whose names keep no common order (two twin paths under shuffled names)
+    # and the presolve under --propagate (-m runs tdilp.cli as __main__, so
+    # no import line names it)
     one, tri, tri_witness = tmp_path / "one.ilp", tmp_path / "tri.ilp", tmp_path / "tri.json"
     one.write_text("max: x\nx <= 3\n")
+    renamed = tmp_path / "twins.ilp"
+    shuffle = random.Random(1)
+    renamed.write_text("max: z\nz <= 5\n" + "".join(
+        f"{s}{p[i]} + 2 {s}{p[i + 1]} <= 3\n"
+        for s in "pq" for p in [shuffle.sample(range(1000, 1024), 24)] for i in range(23)
+    ))
     assert run(["generate", "3col", "--graph", triangle, "-o", str(tri),
                 "--witness", str(tri_witness)]) == 0
     for args, loaded in [
         ([str(one)], set()),
-        ([two_blocks], {"tdilp.twins"}),
+        ([two_blocks], set()),
+        ([str(renamed)], {"tdilp.twins"}),
         ([str(tri), "--td", str(tri_witness), "--propagate"], {"tdilp.presolve"}),
     ]:
         solve = subprocess.run(

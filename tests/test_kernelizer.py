@@ -586,30 +586,31 @@ def test_twin_search_takes_back_a_refuted_candidate():
     assert [step.delta for step in trace] == [{0: 4, 1: 6, 2: 5, 3: 7}]
     assert equivalence_reference(ins, dec, 0, 4) == {0: 4, 1: 6, 2: 5, 3: 7}
     # the recorder of the oracle differential sees this search
-    assert _searched_pairs(ins, dec) == [
+    pairs = _searched_pairs(ins, dec)
+    assert [(gone, x.nodes, y.nodes, delta) for gone, x, y, delta in pairs] == [
         (frozenset(), (0, 1, 2, 3), (4, 5, 6, 7), {0: 4, 1: 6, 2: 5, 3: 7})
     ]
 
 
 def _searched_pairs(ins, dec):
     """kernelize(ins, dec), recording every pair of siblings the pruner
-    compares, as (variables pruned before it, keeper variables, twin
-    variables, delta found or None).  Every trace step must come from a
-    recorded pair, so a recorder that misses the search fails here."""
+    decides, as (variables pruned before it, keeper sibling, twin sibling,
+    delta found or None).  Every trace step must come from a recorded pair,
+    so a recorder that misses the pruner's decisions fails here."""
     pairs, gone = [], []
-    prune, find = kernelizer._Pruner.prune, twins._find_renaming
+    prune, decide = kernelizer._Pruner.prune, kernelizer._renaming
 
     def recording_prune(self, kids):
         gone[:] = [frozenset(self.gone_vars)]
         return prune(self, kids)
 
-    def recording_find(x, y):
-        delta = find(x, y)
-        pairs.append((gone[0], x.nodes, y.nodes, delta))
+    def recording_decide(x, fx, y, fy):
+        delta = decide(x, fx, y, fy)
+        pairs.append((gone[0], x, y, delta))
         return delta
 
     with mock.patch.object(kernelizer._Pruner, "prune", recording_prune), \
-            mock.patch.object(twins, "_find_renaming", recording_find):
+            mock.patch.object(kernelizer, "_renaming", recording_decide):
         _, _, trace = kernelize(ins, dec)
     found = sum(delta is not None for *_, delta in pairs)
     assert found == len(trace), "the recorder missed the twin search"
@@ -723,12 +724,34 @@ def test_twin_search_matches_the_bijection_oracle(case, data):
     ins, dec = case
     if data.draw(st.booleans()):
         ins, dec = _renamed(ins, dec, data.draw(st.permutations(range(ins.n_variables))))
-    for gone, keeper, twin, delta in _searched_pairs(ins, dec):
+    for gone, x, y, delta in _searched_pairs(ins, dec):
+        keeper, twin = x.nodes, y.nodes
         if len(keeper) > 6:
             continue
         left, left_dec = omit_variables(ins, gone), dec.drop_nodes(gone)
         want = equivalence_reference(left, left_dec, _root_of(dec, keeper), _root_of(dec, twin))
         assert delta == want
+
+
+@given(planted_forests() | graph_siblings(), st.data())
+@settings(max_examples=200, deadline=10_000)
+def test_order_keeping_twins_are_the_searchs_first_renaming(case, data):
+    """The pruner certifies a pair whose ordered forms are equal by the
+    order-keeping renaming, without searching: on every such pair the
+    colour-refined search must return exactly that renaming, and on every
+    other pair the pruner's verdict is the search's.  Also with the
+    variables renamed, so that fewer twins keep a common order."""
+    ins, dec = case
+    if data.draw(st.booleans()):
+        ins, dec = _renamed(ins, dec, data.draw(st.permutations(range(ins.n_variables))))
+    for _, x, y, delta in _searched_pairs(ins, dec):
+        searched = twins._find_renaming(x, y)
+        if kernelizer._ordered_form(x) == kernelizer._ordered_form(y):
+            event("equal ordered forms")
+            assert searched == dict(zip(x.nodes, y.nodes))
+        else:
+            event("twins in no common order" if searched else "not twins")
+        assert delta == searched
 
 
 def _boxed(ins):
