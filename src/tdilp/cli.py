@@ -114,8 +114,10 @@ def _solve_args(argv: list[str]) -> SimpleNamespace | None:
 
 def run(argv: list[str] | None = None) -> int:
     # certified radii and the coordinates they bound can run past the 4,300
-    # digits that int <-> str conversion allows by default
-    if hasattr(sys, "set_int_max_str_digits"):
+    # digits that int <-> str conversion allows by default; the caller's
+    # limit comes back on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -140,6 +142,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -78,8 +78,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_kernelize(args) -> int:
     instance = _load_instance(args.file)
-    decomposition, _ = decompose(instance, _load_witness(args.td))
-    kernel, _, trace = kernelize(instance, decomposition)
+    kernel, _, trace = kernelize(instance, decompose(instance, _load_witness(args.td)))
     Path(args.output).write_text(serialize_instance(kernel), encoding="utf-8")
     Path(args.trace).write_text(trace_to_json(trace), encoding="utf-8")
     print(

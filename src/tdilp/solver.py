@@ -99,15 +99,17 @@ class _SearchProgram:
     """Instance compiled to index-based rows for the propagation loop.
 
     Under propagate, the rows that ``presolve._presolve_rows`` derives
-    join the instance's rows in the instance's canonical row order.
+    join the instance's rows in the instance's canonical row order, and the
+    search branches on the narrowest domain (min_domain, see _dive).
     """
 
     __slots__ = (
         "ids", "rows", "obj", "cut_terms", "cut_gcd", "lo_readers", "hi_readers",
-        "n", "rows_contradict", "cut_opposite", "equalities", "var_eqs",
+        "n", "rows_contradict", "cut_opposite", "equalities", "var_eqs", "min_domain",
     )
 
     def __init__(self, instance: IlpInstance, propagate: bool = False):
+        self.min_domain = propagate
         self.ids = instance.ids()
         index = {v: j for j, v in enumerate(self.ids)}
         self.n = n = len(self.ids)
@@ -254,8 +256,6 @@ def _propagate(
     cut_row = len(rows)  # the cut's index in the reader lists
     has_cut = cut_rhs is not None and bool(program.cut_terms)
     n_rows = cut_row + has_cut
-    if n_rows == 0:
-        return True if all(lo[j] <= hi[j] for j in range(program.n)) else None
     budget = 4 * n_rows + 8 * program.n + 32
     equalities = program.equalities
     lo_readers, hi_readers, var_eqs = program.lo_readers, program.hi_readers, program.var_eqs
@@ -354,11 +354,11 @@ def _propagate(
 
 
 def _pick_branch_var(
-    program: _SearchProgram, lo: list[int], hi: list[int], min_domain_branching: bool, start: int
+    program: _SearchProgram, lo: list[int], hi: list[int], start: int
 ) -> int | None:
-    """The narrowest unfixed variable under min_domain_branching, else the
-    lowest-id one; every variable below start is known to be fixed."""
-    if min_domain_branching:
+    """The narrowest unfixed variable under min_domain, else the lowest-id
+    one; every variable below start is known to be fixed."""
+    if program.min_domain:
         best_j, best_w = None, None
         for j in range(program.n):
             w = hi[j] - lo[j]
@@ -372,22 +372,19 @@ def _pick_branch_var(
 
 
 def _dive(
-    program: _SearchProgram,
-    radius: int,
-    threshold: int | None,
-    min_domain_branching: bool,
+    program: _SearchProgram, radius: int, threshold: int | None
 ) -> tuple[list[int], int] | None:
     """First leaf of {rows, obj >= threshold} in the fixed leaf order.
 
     The leaf order is: branch on the lowest-id unfixed variable (narrowest
-    domain under min_domain_branching), higher values first exactly when
+    domain under the program's min_domain), higher values first exactly when
     the variable's objective coefficient is positive.  Every variable below
     the lowest-id unfixed one is fixed, so in that mode the first leaf is
     the lexicographically first feasible point whatever the split points
     are; the split tries the preferred endpoint alone before bisecting the
     rest, which finds a bound that propagation already reached in one node
-    instead of one node per bit of the radius.  Under min_domain_branching
-    the branch variable depends on the domain widths, so that mode keeps
+    instead of one node per bit of the radius.  Under min_domain the
+    branch variable depends on the domain widths, so that mode keeps
     plain bisection, and with it its leaf order.
     """
     if radius < 0:
@@ -413,7 +410,7 @@ def _dive(
             continue
         # under lowest-id branching every variable below the parent's branch
         # variable is fixed; after a cap exit (no seed) the scan starts at 0
-        j = _pick_branch_var(program, lo, hi, min_domain_branching, branched or 0)
+        j = _pick_branch_var(program, lo, hi, branched or 0)
         if j is None:
             point = lo
             feasible = all(
@@ -428,7 +425,7 @@ def _dive(
         up = program.obj[j] > 0
         first, last = lo[j], hi[j]
         parts = []  # sub-domains of x_j in leaf order
-        if not min_domain_branching:
+        if not program.min_domain:
             if up:
                 parts.append((last, last))
                 last -= 1
@@ -453,10 +450,7 @@ def _dive(
 
 
 def _maximize(
-    program: _SearchProgram,
-    radius: int,
-    hit: tuple[list[int], int],
-    min_domain_branching: bool,
+    program: _SearchProgram, radius: int, hit: tuple[list[int], int]
 ) -> tuple[list[int], int]:
     """Search on the objective value upward from a first-feasible dive.
 
@@ -470,8 +464,8 @@ def _maximize(
     optimum in the fixed leaf order.  Under lowest-id branching that is the
     last successful probe's point: it is the lexicographically first point
     of value >= t for some t <= optimum, and its value is the optimum.
-    Under min_domain_branching the tree depends on the cut, so one more
-    dive runs at the optimum itself.
+    Under min_domain the tree depends on the cut, so one more dive runs at
+    the optimum itself.
     """
     if not program.cut_terms:
         return hit
@@ -481,7 +475,7 @@ def _maximize(
     # lo is reached and every value above hi is refuted
     lo, hi, t, drop = hit[1], top, top, 1
     while t > lo:
-        probe = _dive(program, radius, t, min_domain_branching)
+        probe = _dive(program, radius, t)
         if probe is not None:
             hit = probe
             lo = probe[1]
@@ -489,14 +483,14 @@ def _maximize(
         hi, t, drop = t - 1, t - drop, 2 * drop
     while lo < hi:
         mid = lo + (hi - lo + 1) // 2
-        probe = _dive(program, radius, mid, min_domain_branching)
+        probe = _dive(program, radius, mid)
         if probe is None:
             hi = mid - 1
         else:
             hit = probe
             lo = probe[1]
-    if min_domain_branching:
-        hit = _dive(program, radius, lo, True)
+    if program.min_domain:
+        hit = _dive(program, radius, lo)
     return hit
 
 
@@ -505,22 +499,17 @@ def _optimal(program: _SearchProgram, hit: tuple[list[int], int], status: str = 
     return SolveOutcome(status, value, {program.ids[k]: point[k] for k in range(program.n)})
 
 
-def bounded_search(
-    instance: IlpInstance,
-    radius: int,
-    *,
-    min_domain_branching: bool = False,
-) -> SolveOutcome:
+def bounded_search(instance: IlpInstance, radius: int) -> SolveOutcome:
     """Exact maximum over the box [-radius, radius]^n, or infeasible-in-box.
     Never unbounded.
 
     The first optimum in the fixed leaf order (see _dive and _maximize).
     """
     program = _SearchProgram(instance)
-    hit = _dive(program, radius, None, min_domain_branching)
+    hit = _dive(program, radius, None)
     if hit is None:
         return SolveOutcome(INFEASIBLE)
-    return _optimal(program, _maximize(program, radius, hit, min_domain_branching))
+    return _optimal(program, _maximize(program, radius, hit))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +532,7 @@ def detect_unbounded(instance: IlpInstance) -> dict[int, int] | None:
     recession = IlpInstance(instance.variables, rows, instance.objective)
     radius = solution_bound(recession).radius
     program = _SearchProgram(recession)
-    hit = _dive(program, radius, None, False)
+    hit = _dive(program, radius, None)
     return None if hit is None else dict(zip(program.ids, hit[0]))
 
 
@@ -568,7 +557,7 @@ def solve_core(
     radius = certified if bound is None else bound
     program = _SearchProgram(instance, propagate)
 
-    hit = _dive(program, radius, None, propagate)
+    hit = _dive(program, radius, None)
     if hit is None:
         if radius < certified:
             return SolveOutcome(BOUND_EXHAUSTED)
@@ -576,6 +565,7 @@ def solve_core(
 
     status = OPTIMAL
     if not instance.objective.is_zero():
+        # the ray first: on an unbounded objective the probes chase a maximum that does not exist
         ray = detect_unbounded(instance)
         if ray is not None:
             # checked like an assignment: A d <= 0 and obj . d >= 1
@@ -584,8 +574,8 @@ def solve_core(
             ):
                 raise InternalError("search returned an invalid recession ray")
             return SolveOutcome(UNBOUNDED)
-        hit = _maximize(program, radius, hit, propagate)
-        beaten = _dive(program, certified, hit[1] + 1, propagate) if radius < certified else None
+        hit = _maximize(program, radius, hit)
+        beaten = _dive(program, certified, hit[1] + 1) if radius < certified else None
         if beaten is not None:
             status = BOX_OPTIMAL
     outcome = _optimal(program, hit, status)
@@ -600,7 +590,7 @@ def solve_core(
 class PipelineInfo(Record):
     """Side facts about a solve, for reporting; td_mode is "given" or "dfs"."""
 
-    __slots__ = ("td_mode", "decomposition", "kernel", "trace")
+    __slots__ = ("td_mode", "kernel", "trace")
 
 
 def solve_pipeline(
@@ -612,8 +602,8 @@ def solve_pipeline(
 ) -> tuple[SolveOutcome, PipelineInfo]:
     """kernelize -> core solve -> lift, along the given decomposition
     ("given") or the DFS forest ("dfs"); kernelize checks it."""
-    decomposition, td_mode = decompose(instance, decomposition)
-    kernel, _, trace = kernelize(instance, decomposition)
+    td_mode = "dfs" if decomposition is None else "given"
+    kernel, _, trace = kernelize(instance, decompose(instance, decomposition))
     core = solve_core(kernel, propagate=propagate, bound=bound)
 
     lifted = core.assignment
@@ -627,7 +617,7 @@ def solve_pipeline(
             raise InternalError("lifting changed the objective value")
 
     outcome = SolveOutcome(core.status, core.value, lifted, kernel.n_variables, instance.n_variables)
-    return outcome, PipelineInfo(td_mode, decomposition, kernel, trace)
+    return outcome, PipelineInfo(td_mode, kernel, trace)
 
 
 def solve(

@@ -122,10 +122,6 @@ class TreedepthDecomposition:
     def nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.parent))
 
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
     def roots(self) -> tuple[int, ...]:
         return self._roots
 
@@ -193,7 +189,7 @@ class TreedepthDecomposition:
         return hash(tuple(sorted(self.parent.items())))
 
     def __repr__(self):
-        return f"TreedepthDecomposition(n={self.n}, height={self.height})"
+        return f"TreedepthDecomposition(n={len(self.parent)}, height={self.height})"
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +247,18 @@ def verify_treedepth_decomposition(graph: Graph, decomposition: TreedepthDecompo
 def decompose(
     instance: IlpInstance,
     witness: TreedepthDecomposition | TreeDecompositionWitness | None = None,
-) -> tuple[TreedepthDecomposition, str]:
-    """The decomposition a solve uses, with its mode.
+) -> TreedepthDecomposition:
+    """The decomposition a solve uses.
 
-    A supplied witness must be a treedepth decomposition (mode "given");
-    without one it is the DFS forest of the primal graph ("dfs"), since the
-    kernel is sound along any valid decomposition.  kernelize checks it.
+    A supplied witness must be a treedepth decomposition; without one it is
+    the DFS forest of the primal graph, since the kernel is sound along any
+    valid decomposition.  kernelize checks it.
     """
     if witness is not None:
         if not isinstance(witness, TreedepthDecomposition):
             raise StructureError("a treedepth witness is required")
-        return witness, "given"
-    return dfs_treedepth_heuristic(build_primal_graph(instance)), "dfs"
+        return witness
+    return dfs_treedepth_heuristic(build_primal_graph(instance))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ terminal-summary hook replays them at the end of the run so they are
 visible without -s.
 """
 
+import contextlib
+import signal
+
 import pytest
 from hypothesis import strategies as st
 
@@ -57,6 +60,36 @@ def deep_twin_paths(links: int):
         for i in range(links - 1):
             b.add_le({f"{side}{i:04d}": 1, f"{side}{i + 1:04d}": 2}, 3)
     return b.build()
+
+
+def boxed_chain(n: int):
+    """x_i in [0, 3], x_i + x_{i+1} <= 4, max: x_0 + x_{n-1}: the optimum is
+    6, the kernel keeps all n variables, and the radius grows with n."""
+    b = InstanceBuilder()
+    xs = [b.var(f"x{i:04d}") for i in range(n)]
+    for x in xs:
+        b.add_le({x: 1}, 3)
+        b.add_ge({x: 1}, 0)
+    for x, y in zip(xs, xs[1:]):
+        b.add_le({x: 1, y: 1}, 4)
+    b.set_objective({xs[0]: 1, xs[-1]: 1})
+    return b.build()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the block once it has run for seconds, instead of hanging."""
+
+    def expire(signum, frame):
+        pytest.fail(f"past the {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The command-line surface, driven through run() for speed."""
 
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -557,6 +558,50 @@ def test_public_names_resolve_lazily():
         tdilp.no_such_name
 
 
+# every (module, function) in bench/launcher.py's SPANS and COUNTS: the
+# launcher looks each one up by name and a traced solve fails without it
+LAUNCHED = {
+    ("tdilp.instance", "check_feasible"),
+    ("tdilp.instance", "evaluate_objective"),
+    ("tdilp.instance", "omit_variables"),
+    ("tdilp.instance", "parse_instance"),
+    ("tdilp.kernelizer", "constraints_touching"),
+    ("tdilp.kernelizer", "find_equivalent_pair"),
+    ("tdilp.kernelizer", "kernelize"),
+    ("tdilp.kernelizer", "lift_solution"),
+    ("tdilp.kernelizer", "prune_step"),
+    ("tdilp.kernelizer", "subtree_signature"),
+    ("tdilp.kernelizer", "test_equivalence"),
+    ("tdilp.solver", "bounded_search"),
+    ("tdilp.solver", "detect_unbounded"),
+    ("tdilp.solver", "solution_bound"),
+    ("tdilp.solver", "solve_core"),
+    ("tdilp.solver", "solve_pipeline"),
+    ("tdilp.structure", "build_primal_graph"),
+    ("tdilp.structure", "compute_treedepth_exact"),
+    ("tdilp.structure", "dfs_treedepth_heuristic"),
+    ("tdilp.structure", "verify_treedepth_decomposition"),
+}
+
+
+def test_every_name_the_traced_launcher_wraps_resolves(two_blocks):
+    # in-process, so that trimming one of them fails tier-1 and not only a
+    # traced benchmark run; the list is checked against the launcher's own
+    path = Path(__file__).resolve().parents[1] / "bench" / "launcher.py"
+    spec = importlib.util.spec_from_file_location("bench_launcher", path)
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    declared = {(m, f) for entries in launcher.SPANS.values() for m, f, _, _ in entries}
+    assert declared | {(m, f) for m, f, _ in launcher.COUNTS} == LAUNCHED
+    for module, name in sorted(LAUNCHED):
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+    # and what the launcher reads off their arguments and results
+    instance = tdilp.cli._load_instance(two_blocks)
+    assert instance.n_variables and instance.n_constraints
+    assert tdilp.solver.solution_bound(instance).radius >= 1
+    assert tdilp.structure.decompose(instance).height >= 1
+
+
 def test_traced_launcher_matches_plain_solve(two_blocks, tmp_path):
     # the benchmark's launcher wraps tdilp functions by name and fails at
     # install when one of them is gone
@@ -617,7 +662,17 @@ def test_bounds_past_the_int_string_limit(capsys):
 HUGE_CAP = "max: 0\nx - y <= 0\ny <= 1" + "0" * 5000 + "\n"
 
 
-def test_huge_certificate_survives_kernelize_solve_lift(tmp_path, capsys):
+@pytest.fixture
+def no_int_string_limit():
+    """Lift the int <-> str digit limit for a test that reads huge integers
+    itself; run lifts it only while it runs."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_huge_certificate_survives_kernelize_solve_lift(tmp_path, capsys, no_int_string_limit):
     f = tmp_path / "huge.ilp"
     f.write_text(HUGE_CAP)
     assert run(["solve", str(f)]) == 0
@@ -634,6 +689,23 @@ def test_huge_certificate_survives_kernelize_solve_lift(tmp_path, capsys):
     lifted = json.loads(capsys.readouterr().out)
     assert (lifted["status"], lifted["value"]) == ("optimal", 0)
     assert lifted["assignment"] == direct["assignment"]
+
+
+def test_run_gives_back_the_int_string_limit(two_blocks, tmp_path, capsys):
+    # run lifts the limit for its own work and leaves the caller's in place,
+    # so that no later code in the process depends on whether run ran
+    huge = tmp_path / "huge.ilp"
+    huge.write_text(HUGE_CAP)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5_000)
+    try:
+        for argv in (["solve", str(huge)], ["solve", two_blocks, "--bogus"],
+                     ["bounds", "--ell", "3", "--k", "4"]):
+            run(argv)
+            assert sys.get_int_max_str_digits() == 5_000, argv
+    finally:
+        sys.set_int_max_str_digits(old)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,14 +1,12 @@
 """Pruning, lifting, bounds, and the trace format."""
 
-import contextlib
 import itertools
 import json
 import random
-import signal
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, given, note, settings
 from hypothesis import strategies as st
 
 from tdilp import (
@@ -20,8 +18,10 @@ from tdilp import (
     format_bound,
     kernelize,
     lift_solution,
+    serialize_instance,
     trace_from_json,
     trace_to_json,
+    witness_to_json,
 )
 from tdilp.instance import (
     IlpInstance,
@@ -49,7 +49,7 @@ from tdilp.structure import (
     verify_treedepth_decomposition,
 )
 
-from conftest import deep_twin_paths, random_forests
+from conftest import boxed_chain, deadline, deep_twin_paths, random_forests
 
 
 def _blocks_instance(caps, objective_on_z=True):
@@ -638,22 +638,6 @@ def _renamed(ins, dec, rank):
     )
 
 
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    """Fail the block once it has run for seconds, instead of hanging."""
-
-    def expire(signum, frame):
-        pytest.fail(f"past the {seconds} s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _sound_steps(ins, dec, trace):
     """Whether every step omits its delta's image and certifies a sound
     witness on the instance left before it."""
@@ -677,7 +661,7 @@ def test_renamed_twin_paths_are_certified_in_time(links, seconds):
     ins = deep_twin_paths(links)
     rank = random.Random(1).sample(range(ins.n_variables), ins.n_variables)
     ins, dec = _renamed(ins, dfs_treedepth_heuristic(build_primal_graph(ins)), rank)
-    with _deadline(seconds):
+    with deadline(seconds):
         outcome, info = solve_pipeline(ins, dec)
     assert len(info.trace) == 1
     assert outcome.kernel_vars == links + 1
@@ -777,6 +761,76 @@ def test_kernels_do_not_depend_on_names(case, data):
     want, _ = solve_pipeline(_boxed(ins), dec)
     assert (outcome.status, outcome.value) == (want.status, want.value)
     assert outcome.assignment is None or check_feasible(boxed, outcome.assignment)
+
+
+def _assert_boxed_solves_agree(ins, planted):
+    """ins boxed to [-2, 2], solved along the planted decomposition and the
+    DFS forest, with propagate off and on: one verdict and value from all
+    four, a feasible lifted certificate from each, and brute_force_ilp's
+    verdict and value whenever its sweep of 5^n points fits (n <= 8)."""
+    boxed = _boxed(ins)
+    got = set()
+    for dec in (planted, None):
+        for propagate in (False, True):
+            outcome, _ = solve_pipeline(boxed, dec, propagate=propagate)
+            got.add((outcome.status, outcome.value))
+            if outcome.assignment is not None:
+                assert check_feasible(boxed, outcome.assignment)
+                assert evaluate_objective(boxed, outcome.assignment) == outcome.value
+    assert len(got) == 1
+    if ins.n_variables <= 8:
+        want = brute_force_ilp(boxed, 2)
+        assert got == {(want.status, want.value)}
+
+
+@given(planted_forests())
+@settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_boxed_planted_solves_match_the_oracle(case):
+    """Without shrinking: a draw that stalls the search costs the deadline
+    on every run, so a failure reports the draw itself, whose instance and
+    decomposition text the notes give."""
+    ins, planted = case
+    event("brute_force_ilp checks it" if ins.n_variables <= 8 else "only the four solves agree")
+    note(serialize_instance(ins))
+    note(witness_to_json(planted))
+    with deadline(10):
+        _assert_boxed_solves_agree(ins, planted)
+
+
+def _thrash(k):
+    """k variables a_i in [0, i + 1] beside the odd triangle x + y = y + z =
+    x + z = 1 over {0, 1}, zero objective: infeasible, and a search that
+    branches on the a_i first refutes the triangle under each of their
+    boxes.  Planted decomposition: each a_i a root, and the path x - y - z."""
+    b = InstanceBuilder()
+    for i in range(k):
+        b.add_ge({f"a{i}": 1}, 0)
+        b.add_le({f"a{i}": 1}, i + 1)
+    for u in "xyz":
+        b.add_ge({u: 1}, 0)
+        b.add_le({u: 1}, 1)
+    for u, v in ("xy", "yz", "xz"):
+        b.add_eq({u: 1, v: 1}, 1)
+    ins = b.build()
+    parent = {ins.id_of(f"a{i}"): ROOT for i in range(k)}
+    parent.update({ins.id_of("x"): ROOT, ins.id_of("y"): ins.id_of("x"), ins.id_of("z"): ins.id_of("y")})
+    return ins, TreedepthDecomposition(parent)
+
+
+def _chain(n):
+    """boxed_chain(n) with its path x_0 - x_1 - ... - x_{n-1} as the decomposition."""
+    ins = boxed_chain(n)
+    ids = ins.ids()
+    return ins, TreedepthDecomposition({v: ROOT if i == 0 else ids[i - 1] for i, v in enumerate(ids)})
+
+
+@pytest.mark.parametrize("build, size", [
+    *(pytest.param(_thrash, k, id=f"thrash-{k}") for k in (1, 2, 3)),
+    *(pytest.param(_chain, n, id=f"chain-{n}") for n in (5, 6, 7, 8)),
+])
+def test_boxed_families_match_the_oracle(build, size):
+    with deadline(10):
+        _assert_boxed_solves_agree(*build(size))
 
 
 @given(planted_forests(), st.data())

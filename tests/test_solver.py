@@ -35,6 +35,7 @@ from tdilp.solver import (
     _crt,
     _dive,
     _maximize,
+    _optimal,
     _propagate,
     _SearchProgram,
     bounded_search,
@@ -42,7 +43,16 @@ from tdilp.solver import (
 )
 from tdilp.structure import ROOT, build_primal_graph, compute_treedepth_exact
 
-from conftest import all_graphs, complete_graph, cycle_graph, deep_twin_paths, odd_wheel, petersen
+from conftest import (
+    all_graphs,
+    boxed_chain,
+    complete_graph,
+    cycle_graph,
+    deadline,
+    deep_twin_paths,
+    odd_wheel,
+    petersen,
+)
 
 
 def _parse(text):
@@ -566,11 +576,21 @@ def test_bounded_search_follows_the_oracle_leaf_order(case):
     assert (got.status, got.value, got.assignment) == (
         want.status, want.value, want.assignment
     )
-    narrow = bounded_search(ins, box, min_domain_branching=True)
+    narrow = _narrow_search(ins, box)
     assert (narrow.status, narrow.value) == (want.status, want.value)
 
 
-def _bisect_maximize(program, radius, hit, min_domain_branching):
+def _narrow_search(ins, radius):
+    """bounded_search on the program a --propagate solve builds: its
+    presolve rows and min-domain branching."""
+    program = _SearchProgram(ins, True)
+    hit = _dive(program, radius, None)
+    if hit is None:
+        return SolveOutcome("infeasible")
+    return _optimal(program, _maximize(program, radius, hit))
+
+
+def _bisect_maximize(program, radius, hit):
     """The objective search that probes start from the top replaced, kept as
     the reference: bisection from the first dive's value up to
     sum|c| * radius."""
@@ -579,13 +599,13 @@ def _bisect_maximize(program, radius, hit, min_domain_branching):
     lo, hi = hit[1], sum(abs(c) for c in program.obj) * radius
     while lo < hi:
         mid = lo + (hi - lo + 1) // 2
-        probe = _dive(program, radius, mid, min_domain_branching)
+        probe = _dive(program, radius, mid)
         if probe is None:
             hi = mid - 1
         else:
             hit, lo = probe, probe[1]
-    if min_domain_branching:
-        hit = _dive(program, radius, lo, True)
+    if program.min_domain:
+        hit = _dive(program, radius, lo)
     return hit
 
 
@@ -594,24 +614,10 @@ def _bisect_maximize(program, radius, hit, min_domain_branching):
 def test_bound_first_probes_match_plain_bisection(case, radius, narrow):
     # same value and same certificate, in both branching modes
     ins, _ = case
-    program = _SearchProgram(ins)
-    hit = _dive(program, radius, None, narrow)
+    program = _SearchProgram(ins, narrow)
+    hit = _dive(program, radius, None)
     assume(hit is not None)
-    assert _maximize(program, radius, hit, narrow) == _bisect_maximize(program, radius, hit, narrow)
-
-
-def _boxed_chain(n):
-    """x_i in [0, 3], x_i + x_{i+1} <= 4, max: x_0 + x_{n-1}: the optimum is
-    6, the kernel keeps all n variables, and the radius grows with n."""
-    b = InstanceBuilder()
-    xs = [b.var(f"x{i:04d}") for i in range(n)]
-    for x in xs:
-        b.add_le({x: 1}, 3)
-        b.add_ge({x: 1}, 0)
-    for x, y in zip(xs, xs[1:]):
-        b.add_le({x: 1, y: 1}, 4)
-    b.set_objective({xs[0]: 1, xs[-1]: 1})
-    return b.build()
+    assert _maximize(program, radius, hit) == _bisect_maximize(program, radius, hit)
 
 
 @pytest.mark.parametrize("n", [500, 1000])
@@ -626,14 +632,14 @@ def test_boxed_chain_probes_ignore_the_radius(monkeypatch, n):
         return _dive(*args)
 
     monkeypatch.setattr(tdilp.solver, "_dive", counted)
-    outcome = solve(_boxed_chain(n))
+    outcome = solve(boxed_chain(n))
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 6, n)
     assert len(dives) <= 4
 
 
 def test_boxed_chain_of_4000_solves_in_seconds():
     # CPU time of this process, so that other load on the host does not count
-    ins = _boxed_chain(4000)
+    ins = boxed_chain(4000)
     start = time.process_time()
     outcome = solve(ins)
     assert time.process_time() - start < 3
@@ -660,8 +666,7 @@ def test_bounded_search_joins_two_moduli(monkeypatch):
     ins = _parse("max: y - z\n2 x - 3 y = 1\n2 x - 5 z = 1\n")
     want = brute_force_ilp(ins, 8)
     assert (want.status, want.value) == ("optimal", 2)
-    for narrow in (False, True):
-        got = bounded_search(ins, 8, min_domain_branching=narrow)
+    for got in (bounded_search(ins, 8), _narrow_search(ins, 8)):
         assert (got.status, got.value, got.assignment) == (
             want.status, want.value, want.assignment
         )
@@ -713,6 +718,27 @@ def test_stall_reproducer_is_unbounded(propagate_calls):
     assert solution_bound(ins).radius == 2235
     assert solve(ins).status == "unbounded"
     assert len(counted) == 534
+
+
+# draw 263 of _random_rows(random.Random(7), 3 + k % 2, None) in
+# bench/workloads.py: free rows over 4 variables, with a recession ray
+RAY_BEFORE_PROBES = """max: x1 - 2 x2 + x3
+-2 x0 + 2 x2 - 2 x3 <= 2
+-x0 + 2 x1 - 2 x2 - x3 <= 9
+-x0 + 2 x2 <= 0
+-x0 - 2 x1 <= 4
+2 x1 - 2 x2 + 2 x3 <= 8
+"""
+
+
+def test_the_ray_is_found_before_any_objective_probe():
+    # solve_core checks for a recession ray before _maximize probes: with
+    # the probes first this draw ran for 11 s on a 2-vCPU host, chasing a
+    # maximum that does not exist; with the ray first it takes about a
+    # millisecond there
+    with deadline(2):
+        outcome, _ = solve_pipeline(_parse(RAY_BEFORE_PROBES))
+    assert outcome.status == "unbounded"
 
 
 @given(box_programs(), st.data())

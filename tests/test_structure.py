@@ -145,8 +145,7 @@ def test_decompose_takes_the_dfs_forest_at_every_size(monkeypatch):
     for n in (2, 12, 13):
         ins = _path_instance(n)
         graph = build_primal_graph(ins)
-        dec, mode = decompose(ins)
-        assert mode == "dfs"
+        dec = decompose(ins)
         assert dec == dfs_treedepth_heuristic(graph)
         assert verify_treedepth_decomposition(graph, dec)
 
@@ -155,7 +154,7 @@ def test_decompose_checks_a_given_witness():
     # decompose checks only the witness's kind; kernelize checks the forest
     ins = _path_instance(3)  # ids by name: x0 - x1 - x2
     good = TreedepthDecomposition({1: ROOT, 0: 1, 2: 1})
-    assert decompose(ins, good) == (good, "given")
+    assert decompose(ins, good) is good
     bags = TreeDecompositionWitness({0: ROOT}, {0: [0, 1, 2]})
     with pytest.raises(StructureError):
         decompose(ins, bags)
