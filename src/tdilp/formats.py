@@ -16,9 +16,7 @@ from collections.abc import Iterable, Mapping
 
 from .instance import IlpInstance
 from .kernelizer import KernelError, TraceStep
-from .structure import (
-    _TD_HEAD, _TD_TAIL, ROOT, Graph, StructureError, TreedepthDecomposition, _is_int_list,
-)
+from .structure import ROOT, Graph, StructureError, TreedepthDecomposition, _is_int_list
 
 # ---------------------------------------------------------------------------
 # instance text
@@ -136,8 +134,7 @@ def witness_to_json(witness: TreedepthDecomposition | TreeDecompositionWitness) 
         nodes = witness.nodes()
         if nodes != tuple(range(len(nodes))):
             raise StructureError("treedepth witness JSON needs dense nodes 0..n-1")
-        parents = [witness.parent[v] for v in nodes]
-        return _TD_HEAD + ", ".join(map(str, parents)) + _TD_TAIL
+        return json.dumps({"kind": "treedepth", "parent": [witness.parent[v] for v in nodes]})
     if isinstance(witness, TreeDecompositionWitness):
         nodes = tuple(sorted(witness.tree))
         if nodes != tuple(range(len(nodes))):

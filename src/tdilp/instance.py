@@ -105,11 +105,6 @@ class VariableId(Record):
 
     __slots__ = ("id", "name")
 
-    # its own setter, not Record's: parsing builds one per name, and this is twice as fast
-    def __init__(self, id: int, name: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "name", name)
-
 
 class _Terms(Record):
     """Reads over ``terms``: (variable id, coefficient) pairs sorted by id."""
@@ -143,26 +138,14 @@ class LinearConstraint(_Terms):
 
     __slots__ = ("terms", "rhs")
 
-    # its own setter, not Record's: parsing builds one per row, and this is twice as fast
-    def __init__(self, terms: tuple[tuple[int, int], ...], rhs: int):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "rhs", rhs)
-
     def is_satisfied(self, assignment: Mapping[int, int]) -> bool:
         return self.evaluate(assignment) <= self.rhs
-
-    def sort_key(self):
-        return (self.terms, self.rhs)
 
 
 class LinearObjective(_Terms):
     """Objective terms; the sense is always "maximize"."""
 
     __slots__ = ("terms",)
-
-    # its own setter, not Record's: it is on the parse path, like the rows
-    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "terms", terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,12 +187,12 @@ class IlpInstance:
         self._name_by_id = {v.id: v.name for v in vs}
         self._id_by_name = {v.name: v.id for v in vs}
         declared = set(self._name_by_id)
-        seen = {c.sort_key(): c for c in constraints}
+        seen = {(c.terms, c.rhs): c for c in constraints}
         if not declared.issuperset([v for terms, _ in seen for v, _ in terms]):
             var = next(v for c in seen.values() for v in c.variables() if v not in declared)
             raise IlpError(f"constraint uses undeclared variable id {var}")
         self.constraints = tuple(seen[k] for k in sorted(seen))
-        obj = objective if objective is not None else LinearObjective()
+        obj = objective if objective is not None else LinearObjective(())
         for var in obj.variables():
             if var not in declared:
                 raise IlpError(f"objective uses undeclared variable id {var}")

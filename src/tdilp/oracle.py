@@ -291,7 +291,7 @@ def equivalence_reference(
     fx, fy = _touching(instance, X), _touching(instance, Y)
     if len(fx) != len(fy):
         return None
-    target = {c.sort_key() for c in fy}
+    target = {(c.terms, c.rhs) for c in fy}
     for perm in itertools.permutations(Y):
         delta = dict(zip(X, perm))
         if _renames_onto(fx, delta, target):
@@ -308,5 +308,5 @@ def witness_is_sound(instance: IlpInstance, decomposition: TreedepthDecompositio
     delta = witness.delta
     if sorted(delta) != sorted(X) or sorted(delta.values()) != sorted(Y):
         return False
-    target = {c.sort_key() for c in _touching(instance, Y)}
+    target = {(c.terms, c.rhs) for c in _touching(instance, Y)}
     return _renames_onto(_touching(instance, X), delta, target)

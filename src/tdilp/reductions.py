@@ -16,6 +16,7 @@ emitted witnesses depend only on the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .formats import TreeDecompositionWitness
@@ -39,27 +40,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # primes
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
-
-
-def _grow_primes():
-    # re-sieve with a doubled window; amortized fine for the sizes used here
-    limit = max(_PRIMES[-1] * 2, 32)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    _PRIMES[:] = [i for i in range(limit + 1) if sieve[i]]
-
-
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-based: nth_prime(1) == 2."""
     if i < 1:
         raise ValueError("prime index must be at least 1")
-    while len(_PRIMES) < i:
-        _grow_primes()
-    return _PRIMES[i - 1]
+    p = 1
+    while i:
+        p += 1
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            i -= 1
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +96,7 @@ def reduce_three_coloring(graph: Graph) -> tuple[IlpInstance, TreedepthDecomposi
     hangs below them.
     """
     index = {w: pos + 1 for pos, w in enumerate(graph.vertices)}
+    prime = {i: nth_prime(i) for i in index.values()}
     b = InstanceBuilder()
     gs = ("g1", "g2", "g3")
     for g in gs:
@@ -127,7 +118,7 @@ def reduce_three_coloring(graph: Graph) -> tuple[IlpInstance, TreedepthDecomposi
 
     for w in graph.vertices:
         i = index[w]
-        p = nth_prime(i)
+        p = prime[i]
         u1, u2, u3 = (f"u_{i}_{j}" for j in (1, 2, 3))
         for j, u in enumerate((u1, u2, u3), 1):
             remainder_block(gs[j - 1], p, f"m_{i}_{j}", f"r_{i}_{j}", u, u3)
@@ -141,7 +132,7 @@ def reduce_three_coloring(graph: Graph) -> tuple[IlpInstance, TreedepthDecomposi
             for t in (iw, iv):
                 remainder_block(
                     gs[j - 1],
-                    nth_prime(t),
+                    prime[t],
                     f"me_{iw}_{iv}_{t}_{j}",
                     f"re_{iw}_{iv}_{t}_{j}",
                     f"ue_{iw}_{iv}_{t}_{j}",

@@ -8,19 +8,20 @@ certified box radius guarantees that a feasible instance has a feasible
 point inside the box, so "infeasible in the box" is a real infeasibility
 verdict whenever the box was not user-shrunk.  Unboundedness reduces to
 feasibility of the integer recession system, solved by the same engine,
-and the ray it finds is checked like an assignment.
+and the ray it finds is checked like an assignment.  Parts of an instance
+that share no row are independent, and each is searched on its own.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 
 from .instance import (
     IlpInstance,
     InternalError,
     LinearConstraint,
+    LinearObjective,
     Record,
     check_feasible,
     evaluate_objective,
@@ -128,17 +129,15 @@ class _SearchProgram:
             (tuple((index[v], c) for v, c in row.terms), row.rhs)
             for row in instance.constraints
         ]
-        self.rows = rows = [_primitive(terms, rhs) for terms, rhs in raw]
+        rows = [_primitive(terms, rhs) for terms, rhs in raw]
         if propagate:
             from .presolve import _presolve_rows  # compiled only by --propagate solves
 
             # the derived rows take their places in sorted(extra | raw), and
             # like every row are made primitive after that sort
-            for row in sorted(_presolve_rows(rows, obj)):
-                at = bisect_left(raw, row)
-                if at == len(raw) or raw[at] != row:
-                    raw.insert(at, row)
-                    rows.insert(at, _primitive(*row))
+            raw = sorted({*raw, *_presolve_rows(rows, obj)})
+            rows = [_primitive(terms, rhs) for terms, rhs in raw]
+        self.rows = rows
 
         # The rows whose floor sum reads lo[j] (x_j has a positive
         # coefficient) and hi[j] (a negative one): _propagate requeues only
@@ -540,6 +539,32 @@ def detect_unbounded(instance: IlpInstance) -> dict[int, int] | None:
 # outer solve layers
 
 
+def _parts(instance: IlpInstance) -> list[IlpInstance]:
+    """The instance split into parts that share no row, in order of their
+    lowest variable id; [instance] itself when it does not split."""
+    root = {v: v for v in instance.ids()}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for row in instance.constraints:
+        first = find(row.terms[0][0])
+        for v, _ in row.terms[1:]:
+            root[find(v)] = first
+    parts = {}  # root -> (variables, rows, objective terms)
+    for var in instance.variables:
+        parts.setdefault(find(var.id), ([], [], []))[0].append(var)
+    if len(parts) < 2:
+        return [instance]
+    for row in instance.constraints:
+        parts[find(row.terms[0][0])][1].append(row)
+    for term in instance.objective.terms:
+        parts[find(term[0])][2].append(term)
+    return [IlpInstance(vs, rows, LinearObjective(tuple(obj))) for vs, rows, obj in parts.values()]
+
+
 def solve_core(
     instance: IlpInstance,
     *,
@@ -548,6 +573,12 @@ def solve_core(
 ) -> SolveOutcome:
     """Infeasible / Unbounded / Optimal on one instance, no kernelization.
 
+    Parts that share no row (see _parts) are searched one by one, each in
+    the instance's certified box: the instance is infeasible when one part
+    is, unbounded when every part is feasible and one has a recession ray,
+    and its optimum is the sum of the parts' optima.  Under lowest-id
+    branching the joined point is the instance's first optimum in the leaf
+    order, since that order prefers each variable's values on their own.
     A user-supplied bound below the certified radius turns an
     infeasible-in-box verdict into bound_exhausted.  The maximum found in
     such a box is optimal only when no point of the certified box beats
@@ -555,30 +586,35 @@ def solve_core(
     """
     certified = solution_bound(instance).radius
     radius = certified if bound is None else bound
-    program = _SearchProgram(instance, propagate)
+    searched = []
+    for part in _parts(instance):
+        program = _SearchProgram(part, propagate)
+        hit = _dive(program, radius, None)
+        if hit is None:
+            return SolveOutcome(BOUND_EXHAUSTED if radius < certified else INFEASIBLE)
+        searched.append((part, program, hit))
 
-    hit = _dive(program, radius, None)
-    if hit is None:
-        if radius < certified:
-            return SolveOutcome(BOUND_EXHAUSTED)
-        return SolveOutcome(INFEASIBLE)
-
-    status = OPTIMAL
-    if not instance.objective.is_zero():
-        # the ray first: on an unbounded objective the probes chase a maximum that does not exist
-        ray = detect_unbounded(instance)
+    # the rays first: on an unbounded objective the probes chase a maximum that does not exist
+    for part, _, _ in searched:
+        ray = detect_unbounded(part)
         if ray is not None:
+            ray = {**dict.fromkeys(instance.ids(), 0), **ray}
             # checked like an assignment: A d <= 0 and obj . d >= 1
             if instance.objective.evaluate(ray) < 1 or any(
                 row.evaluate(ray) > 0 for row in instance.constraints
             ):
                 raise InternalError("search returned an invalid recession ray")
             return SolveOutcome(UNBOUNDED)
-        hit = _maximize(program, radius, hit)
-        beaten = _dive(program, certified, hit[1] + 1) if radius < certified else None
-        if beaten is not None:
-            status = BOX_OPTIMAL
-    outcome = _optimal(program, hit, status)
+
+    status, value, assignment = OPTIMAL, 0, {}
+    for _, program, hit in searched:
+        if program.cut_terms:
+            hit = _maximize(program, radius, hit)
+            if radius < certified and _dive(program, certified, hit[1] + 1) is not None:
+                status = BOX_OPTIMAL
+        value += hit[1]
+        assignment.update(zip(program.ids, hit[0]))
+    outcome = SolveOutcome(status, value, assignment)
 
     if not check_feasible(instance, outcome.assignment):
         raise InternalError("search returned an infeasible point")

@@ -274,7 +274,7 @@ def _is_int_list(value) -> bool:
 
 
 # the canonical text of a treedepth decomposition, which
-# ``formats.witness_to_json`` writes as ``json.dumps`` would: _TD_HEAD, the
+# ``formats.witness_to_json`` writes with ``json.dumps``: _TD_HEAD, the
 # parents joined by ", ", then _TD_TAIL
 _TD_HEAD = '{"kind": "treedepth", "parent": ['
 _TD_TAIL = "]}"

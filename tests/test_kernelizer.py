@@ -18,6 +18,7 @@ from tdilp import (
     format_bound,
     kernelize,
     lift_solution,
+    parse_instance,
     serialize_instance,
     trace_from_json,
     trace_to_json,
@@ -47,6 +48,7 @@ from tdilp.structure import (
     build_primal_graph,
     dfs_treedepth_heuristic,
     verify_treedepth_decomposition,
+    witness_from_json,
 )
 
 from conftest import boxed_chain, deadline, deep_twin_paths, random_forests
@@ -745,20 +747,24 @@ def _boxed(ins):
 
 
 @given(planted_forests() | graph_siblings(), st.data())
-@settings(max_examples=200, deadline=10_000)
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_kernels_do_not_depend_on_names(case, data):
     """Renamed variables keep the kernel's size, every step is sound at any
     subtree size (the oracle comparison stops at 6), and the solve keeps its
-    verdict.  The solves box every variable: on about 1% of these draws the
-    search stalls on free rows, a defect of the search, not of the kernel."""
+    verdict.  The solves box every variable.  They run under a 10 s alarm,
+    without shrinking, as in test_boxed_planted_solves_match_the_oracle, so
+    a stall fails with its own draw instead of hanging.  About 1% of these
+    draws stalled a search of the whole kernel; split into parts, no solve
+    of 6,000 draws took over 0.2 s."""
     ins, dec = case
     renamed, renamed_dec = _renamed(ins, dec, data.draw(st.permutations(range(ins.n_variables))))
     kernel, _, trace = kernelize(renamed, renamed_dec)
     assert kernel.n_variables == kernelize(ins, dec)[0].n_variables
     assert _sound_steps(renamed, renamed_dec, trace)
     boxed = _boxed(renamed)
-    outcome, _ = solve_pipeline(boxed, renamed_dec)
-    want, _ = solve_pipeline(_boxed(ins), dec)
+    with deadline(10):
+        outcome, _ = solve_pipeline(boxed, renamed_dec)
+        want, _ = solve_pipeline(_boxed(ins), dec)
     assert (outcome.status, outcome.value) == (want.status, want.value)
     assert outcome.assignment is None or check_feasible(boxed, outcome.assignment)
 
@@ -831,6 +837,102 @@ def _chain(n):
 def test_boxed_families_match_the_oracle(build, size):
     with deadline(10):
         _assert_boxed_solves_agree(*build(size))
+
+
+@pytest.mark.parametrize("propagate, limit", [(False, 40), (True, 50)])
+def test_thrash_searches_each_part_on_its_own(propagate_calls, propagate, limit):
+    """The a_i and the triangle share no row, so the search refutes the
+    triangle once instead of under each box of the a_i: at k = 7 the
+    search of the whole instance made 143,727 _propagate calls.  Each a_i
+    part is searched before the triangle's, whose ids are higher; under
+    --propagate by plain bisection, which takes more calls per part."""
+    propagate_calls(limit)
+    outcome, _ = solve_pipeline(*_thrash(10), propagate=propagate)
+    assert outcome.status == "infeasible"
+
+
+# the draw of test_boxed_planted_solves_match_the_oracle that stalled the
+# search of the whole kernel with propagate off (--hypothesis-seed=106): its
+# kernel has three parts, of 10, 1 and 12 variables
+SEED_106_DRAW = """max: 0 v002 + 0 v022 + v053 + v056
+-2 v000 - v001 <= -1
+-2 v020 - v021 <= -1
+-2 v040 + v041 - v042 <= 0
+-2 v040 + v041 - v043 <= 0
+-2 v040 + v047 - v048 <= 0
+-2 v040 + v047 - v049 <= 0
+-2 v040 + v053 - v054 <= 0
+-2 v040 + v053 - v055 <= 0
+-2 v040 + v060 <= 2
+-2 v040 + v062 <= 2
+-2 v040 + v063 <= 2
+-2 v041 + 2 v044 <= 1
+-2 v041 + 2 v045 <= 1
+-2 v041 + 2 v046 <= 1
+-2 v047 + 2 v050 <= 1
+-2 v047 + 2 v051 <= 1
+-2 v047 + 2 v052 <= 1
+-2 v053 + 2 v056 <= 1
+-2 v053 + 2 v057 <= 1
+-2 v053 + 2 v058 <= 1
+-v000 + 2 v006 - 2 v008 <= 2
+-v000 + 2 v009 - 2 v011 <= 2
+-v000 + v006 - 2 v007 <= 0
+-v000 + v009 - 2 v010 <= 0
+-v020 + 2 v026 - 2 v028 <= 2
+-v020 + 2 v029 - 2 v031 <= 2
+-v020 + v026 - 2 v027 <= 0
+-v020 + v029 - 2 v030 <= 0
+2 v000 + v012 + 2 v013 <= 1
+2 v000 + v014 + 2 v015 <= 1
+2 v000 + v016 + 2 v017 <= 1
+2 v000 + v018 + 2 v019 <= 1
+2 v020 + v032 + 2 v033 <= 1
+2 v020 + v034 + 2 v035 <= 1
+2 v020 + v036 + 2 v037 <= 1
+2 v020 + v038 + 2 v039 <= 1
+2 v040 + 2 v041 + v044 <= 0
+2 v040 + 2 v041 + v045 <= 0
+2 v040 + 2 v041 + v046 <= 0
+2 v040 + 2 v047 + v050 <= 0
+2 v040 + 2 v047 + v051 <= 0
+2 v040 + 2 v047 + v052 <= 0
+2 v040 + 2 v053 + v056 <= 0
+2 v040 + 2 v053 + v057 <= 0
+2 v040 + 2 v053 + v058 <= 0
+v000 + 2 v006 <= 2
+v000 + 2 v009 <= 2
+v000 + v001 - v003 <= 2
+v000 + v001 - v004 <= 2
+v000 + v001 - v005 <= 2
+v000 + v013 <= 2
+v000 + v015 <= 2
+v000 + v016 <= 2
+v000 + v018 <= 2
+v020 + 2 v026 <= 2
+v020 + 2 v029 <= 2
+v020 + v021 - v023 <= 2
+v020 + v021 - v024 <= 2
+v020 + v021 - v025 <= 2
+v020 + v033 <= 2
+v020 + v035 <= 2
+v020 + v036 <= 2
+v020 + v038 <= 2
+v059 + 2 v060 <= 1
+v061 + 2 v062 <= 1
+v063 + 2 v064 <= 1
+"""
+SEED_106_WITNESS = (
+    '{"kind": "treedepth", "parent": [-1, 0, 1, 1, 1, 1, 0, 6, 6, 0, 9, 9, 0, 12, 0, 14, '
+    '0, 16, 0, 18, -1, 20, 21, 21, 21, 21, 20, 26, 26, 20, 29, 29, 20, 32, 20, 34, 20, '
+    '36, 20, 38, -1, 40, 41, 41, 41, 41, 41, 40, 47, 47, 47, 47, 47, 40, 53, 53, 53, 53, '
+    '53, 40, 59, 40, 61, 40, 63]}'
+)
+
+
+def test_planted_draw_that_stalled_the_whole_kernel_search():
+    with deadline(10):
+        _assert_boxed_solves_agree(parse_instance(SEED_106_DRAW), witness_from_json(SEED_106_WITNESS))
 
 
 @given(planted_forests(), st.data())

@@ -590,6 +590,36 @@ def _narrow_search(ins, radius):
     return _optimal(program, _maximize(program, radius, hit))
 
 
+@st.composite
+def disjoint_unions(draw):
+    """Two boxed_instances draws side by side, named so that the ids of
+    their variables interleave: an instance of at least two parts."""
+    first, second = draw(boxed_instances()), draw(boxed_instances())
+    names = [f"u{k}" for k in draw(st.permutations(range(first.n_variables + second.n_variables)))]
+    b = InstanceBuilder()
+    objective = {}
+    for ins, own in ((first, names[: first.n_variables]), (second, names[first.n_variables :])):
+        name = dict(zip(ins.ids(), own))
+        for row in ins.constraints:
+            b.add_le({name[v]: c for v, c in row.terms}, row.rhs)
+        objective.update((name[v], c) for v, c in ins.objective.terms)
+    b.set_objective(objective)
+    return b.build()
+
+
+@given(disjoint_unions(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_split_search_matches_the_whole_instance_search(ins, narrow):
+    # solve_core searches each part on its own; the reference searches the
+    # whole union in the same certified box.  Under lowest-id branching the
+    # certificate is the same too
+    got = solve_core(ins, propagate=narrow)
+    want = (_narrow_search if narrow else bounded_search)(ins, solution_bound(ins).radius)
+    assert (got.status, got.value) == (want.status, want.value)
+    if not narrow:
+        assert got.assignment == want.assignment
+
+
 def _bisect_maximize(program, radius, hit):
     """The objective search that probes start from the top replaced, kept as
     the reference: bisection from the first dive's value up to
