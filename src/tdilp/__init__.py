@@ -7,38 +7,42 @@ bounded-box solver, generators that encode classic NP-hard problems as
 narrow ILP families, and naive oracles used to cross-check everything.
 """
 
-from .instance import (
-    IlpError,
-    IlpInstance,
-    IlpSyntaxError,
-    InstanceBuilder,
-    InternalError,
-    LinearConstraint,
-    LinearObjective,
-    VariableId,
-    check_feasible,
-    evaluate_objective,
-    max_abs_coefficient,
-    omit_variables,
-    parse_instance,
-)
-from .kernelizer import EquivalenceWitness, KernelError, TraceStep, kernelize, lift_solution
-from .outcome import SolveOutcome
-from .solver import BoxBound, solution_bound, solve, solve_core, solve_pipeline
-from .structure import (
-    Graph,
-    StructureError,
-    TreedepthDecomposition,
-    build_primal_graph,
-    decompose,
-    dfs_treedepth_heuristic,
-    verify_treedepth_decomposition,
-    witness_from_json,
-)
-
-# Names off the solve path, by module.  They load on first access (PEP 562),
-# so that `import tdilp` and every `tdilp solve` compile neither module.
+# Every public name, by the module that defines it.  Each loads on first
+# access (PEP 562), so `import tdilp` compiles no other module, and a
+# `tdilp solve` only the modules its own imports name.
 _LAZY = {
+    "IlpError": "instance",
+    "IlpInstance": "instance",
+    "IlpSyntaxError": "instance",
+    "InstanceBuilder": "instance",
+    "InternalError": "instance",
+    "LinearConstraint": "instance",
+    "LinearObjective": "instance",
+    "VariableId": "instance",
+    "check_feasible": "instance",
+    "evaluate_objective": "instance",
+    "max_abs_coefficient": "instance",
+    "omit_variables": "instance",
+    "parse_instance": "instance",
+    "SolveOutcome": "outcome",
+    "Graph": "structure",
+    "StructureError": "structure",
+    "TreedepthDecomposition": "structure",
+    "build_primal_graph": "structure",
+    "decompose": "structure",
+    "dfs_treedepth_heuristic": "structure",
+    "verify_treedepth_decomposition": "structure",
+    "witness_from_json": "structure",
+    "EquivalenceWitness": "kernelizer",
+    "KernelError": "kernelizer",
+    "TraceStep": "kernelizer",
+    "kernelize": "kernelizer",
+    "lift_solution": "kernelizer",
+    "BoxBound": "solver",
+    "solution_bound": "solver",
+    "solve": "solver",
+    "solve_core": "solver",
+    "solve_pipeline": "solver",
     "Astronomical": "bounds",
     "KernelBounds": "bounds",
     "compute_bounds": "bounds",
@@ -69,51 +73,4 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "Astronomical",
-    "BoxBound",
-    "EquivalenceWitness",
-    "Graph",
-    "IlpError",
-    "IlpInstance",
-    "IlpSyntaxError",
-    "InstanceBuilder",
-    "InternalError",
-    "KernelBounds",
-    "KernelError",
-    "LinearConstraint",
-    "LinearObjective",
-    "SolveOutcome",
-    "StructureError",
-    "TraceStep",
-    "TreeDecompositionWitness",
-    "TreedepthDecomposition",
-    "VariableId",
-    "build_primal_graph",
-    "check_feasible",
-    "compute_bounds",
-    "compute_treedepth_exact",
-    "decompose",
-    "dfs_treedepth_heuristic",
-    "evaluate_objective",
-    "format_bound",
-    "kernelize",
-    "lift_solution",
-    "max_abs_coefficient",
-    "omit_variables",
-    "parse_graph_file",
-    "parse_instance",
-    "serialize_graph",
-    "serialize_instance",
-    "solution_bound",
-    "solve",
-    "solve_core",
-    "solve_pipeline",
-    "trace_from_json",
-    "trace_to_json",
-    "treedepth_to_tree_decomposition",
-    "verify_tree_decomposition",
-    "verify_treedepth_decomposition",
-    "witness_from_json",
-    "witness_to_json",
-]
+__all__ = sorted(_LAZY)

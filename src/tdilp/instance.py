@@ -42,14 +42,10 @@ class InternalError(Exception):
     """A self-check failed: a fault in tdilp itself, not in its input."""
 
 
-class MissingVariableError(IlpError):
-    """An assignment lacks a value for a variable that is being evaluated."""
-
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # one token of a linexpr: (digits, "_" when the digits run straight into one,
 # name, operator, any other character)
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)(_?)|([A-Za-z_][A-Za-z0-9_']*)|([+\-*])|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)(_?)|({_NAME_RE.pattern})|([+\-*])|(\S))")
 # a signed integer in tdilp's text input (right-hand sides, command-line
 # options); int() alone would also take "1_0" and digits such as "\u0663"
 INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -124,7 +120,7 @@ class _Terms(Record):
         total = 0
         for v, c in self.terms:
             if v not in assignment:
-                raise MissingVariableError(f"no value for variable id {v}")
+                raise IlpError(f"no value for variable id {v}")
             total += c * assignment[v]
         return total
 
@@ -149,9 +145,6 @@ class LinearObjective(_Terms):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def without(self, drop: frozenset[int] | set[int]) -> "LinearObjective":
-        return LinearObjective(tuple((v, c) for v, c in self.terms if v not in drop))
 
 
 class IlpInstance:
@@ -282,7 +275,8 @@ def omit_variables(instance: IlpInstance, drop: Iterable[int]) -> IlpInstance:
     keep_cons = [
         c for c in instance.constraints if not (gone & set(c.variables()))
     ]
-    return IlpInstance(keep_vars, keep_cons, instance.objective.without(gone))
+    keep_obj = LinearObjective(tuple((v, c) for v, c in instance.objective.terms if v not in gone))
+    return IlpInstance(keep_vars, keep_cons, keep_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +357,6 @@ def _parse_linexpr(text: str, line_no: int, declared: set[str]) -> tuple[dict[st
     return terms, constant
 
 
-def _parse_int(text: str, line_no: int) -> int:
-    text = text.strip()
-    if not INT_RE.fullmatch(text):
-        raise IlpSyntaxError(f"expected an integer, got {text!r}", line_no)
-    return _to_int(text, line_no)
-
-
 def _to_int(text: str, line_no: int) -> int:
     """int() of text whose syntax is checked, so only the int-string limit is left."""
     try:
@@ -417,9 +404,11 @@ def parse_instance(text: str) -> IlpInstance:
         rel = _REL_RE.search(line)
         if not rel:
             raise IlpSyntaxError("constraint needs one of <=, >=, =, <, >", line_no)
-        lhs_text, op, rhs_text = line[: rel.start()], rel.group(1), line[rel.end() :]
+        lhs_text, op, rhs_text = line[: rel.start()], rel.group(1), line[rel.end() :].strip()
         terms, constant = _parse_linexpr(lhs_text, line_no, declared)
-        rhs = _parse_int(rhs_text, line_no) - constant
+        if not INT_RE.fullmatch(rhs_text):
+            raise IlpSyntaxError(f"expected an integer, got {rhs_text!r}", line_no)
+        rhs = _to_int(rhs_text, line_no) - constant
         # each row is normalized once, here and in build(): its names are
         # declared and its terms merged
         if not terms:

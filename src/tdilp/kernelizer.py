@@ -127,14 +127,6 @@ class _Pruner:
         self.gone_vars: set[int] = set()
         self.gone_rows: set[int] = set()
 
-    def _subtree(self, x: int) -> tuple[int, ...]:
-        # pruned nodes always form whole subtrees, so filtering is enough
-        return tuple(v for v in self.decomposition.subtree(x) if v not in self.gone_vars)
-
-    def _touching(self, nodes: tuple[int, ...]) -> tuple[LinearConstraint, ...]:
-        rows = {i for v in nodes for i in self.rows_of[v]} - self.gone_rows
-        return tuple(self.constraints[i] for i in sorted(rows))
-
     def prune(self, kids: Iterable[int]) -> list[EquivalenceWitness]:
         """Prune every objective-free sibling in kids (ascending ids) that
         has a smaller-id twin.  Returns one witness per pruned twin, from the
@@ -145,8 +137,10 @@ class _Pruner:
             return []
         groups: dict[tuple, list[tuple[int, _Sibling]]] = {}
         for c in kids:
-            nodes = self._subtree(c)
-            sibling = _Sibling(nodes, self._touching(nodes))
+            # pruned nodes always form whole subtrees, so filtering is enough
+            nodes = tuple(v for v in self.decomposition.subtree(c) if v not in self.gone_vars)
+            rows = {i for v in nodes for i in self.rows_of[v]} - self.gone_rows
+            sibling = _Sibling(nodes, tuple(self.constraints[i] for i in sorted(rows)))
             groups.setdefault(sibling.signature, []).append((c, sibling))
         collisions = [members for members in groups.values() if len(members) > 1]
         hits = []

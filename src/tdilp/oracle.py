@@ -8,6 +8,7 @@ vocabulary is plain data: instances, graphs, decompositions, outcomes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from functools import lru_cache
 
@@ -97,6 +98,29 @@ def brute_force_ilp(instance: IlpInstance, box: int, budget: int = 10**8) -> Sol
         digit = (best_idx // int(places[j])) % width
         assignment[ids[j]] = int(box - digit) if flip[j] else int(digit - box)
     return SolveOutcome(OPTIMAL, best_val, assignment)
+
+
+def has_recession_ray(instance: IlpInstance) -> bool:
+    """Exact test for an integer d with A d <= 0 and obj . d >= 1.
+
+    A rational solution scales to an integer one, so Fourier-Motzkin
+    elimination over the rationals decides it.  (Sweeping rays in a small
+    box, as the acceptance suite does, misses rays with large entries.)
+    """
+    ids = instance.ids()
+    rows = {(tuple(c.coefficient(v) for v in ids), 0) for c in instance.constraints}
+    rows.add((tuple(-instance.objective.coefficient(v) for v in ids), -1))
+    for j in range(len(ids)):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        rows = {r for r in rows if r[0][j] == 0}
+        for (a, s), (b, t) in itertools.product(pos, neg):
+            # -b_j * (a . d <= s) + a_j * (b . d <= t) has no d_j term
+            coeffs = tuple(-b[j] * x + a[j] * y for x, y in zip(a, b))
+            rhs = -b[j] * s + a[j] * t
+            g = math.gcd(*coeffs, rhs) or 1
+            rows.add((tuple(x // g for x in coeffs), rhs // g))
+    return all(rhs >= 0 for _, rhs in rows)
 
 
 def subset_sum_dp(values, target: int | None = None) -> bool:

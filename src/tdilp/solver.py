@@ -395,15 +395,19 @@ def _dive(
     if cut_rhs is not None and program.cut_opposite is not None:
         if cut_rhs + program.cut_opposite < 0:
             return None
-    # a node: lo, hi, the residue classes (see _propagate) and the variable
-    # its parent branched on, None at the root and below a cap exit; each
-    # child copies the first three, since a class derived from a child's
-    # fixed values does not hold for its siblings
-    stack: list[tuple[list[int], list[int], dict[int, tuple[int, int]], int | None]] = [
-        ([-radius] * n, [radius] * n, {}, None)
-    ]
+    # a node: its parent's lo, hi and residue classes (see _propagate), the
+    # propagation seed (None at the root and below a cap exit), and the
+    # sub-domain [a, b] of the parent's branch variable j (None at the
+    # root).  A child copies the parent's state when it is popped, since a
+    # class derived from a child's fixed values does not hold for its
+    # siblings; the parent's state is not written after its children are
+    # pushed, so the children a dive never pops copy nothing
+    stack = [([-radius] * n, [radius] * n, {}, None, None, 0, 0)]
     while stack:
-        lo, hi, classes, branched = stack.pop()
+        lo, hi, classes, branched, j, a, b = stack.pop()
+        if j is not None:
+            lo, hi, classes = list(lo), list(hi), dict(classes)
+            lo[j], hi[j] = a, b
         done = _propagate(program, lo, hi, classes, cut_rhs, branched=branched)
         if done is None:
             continue
@@ -440,11 +444,8 @@ def _dive(
         seed = j if done else None
         for a, b in reversed(parts):
             a, b = a + (r - a) % m, b - (b - r) % m
-            if a > b:
-                continue
-            child = (list(lo), list(hi), dict(classes), seed)
-            child[0][j], child[1][j] = a, b
-            stack.append(child)
+            if a <= b:
+                stack.append((lo, hi, classes, seed, j, a, b))
     return None
 
 
@@ -493,11 +494,6 @@ def _maximize(
     return hit
 
 
-def _optimal(program: _SearchProgram, hit: tuple[list[int], int], status: str = OPTIMAL):
-    point, value = hit
-    return SolveOutcome(status, value, {program.ids[k]: point[k] for k in range(program.n)})
-
-
 def bounded_search(instance: IlpInstance, radius: int) -> SolveOutcome:
     """Exact maximum over the box [-radius, radius]^n, or infeasible-in-box.
     Never unbounded.
@@ -508,7 +504,8 @@ def bounded_search(instance: IlpInstance, radius: int) -> SolveOutcome:
     hit = _dive(program, radius, None)
     if hit is None:
         return SolveOutcome(INFEASIBLE)
-    return _optimal(program, _maximize(program, radius, hit))
+    point, value = _maximize(program, radius, hit)
+    return SolveOutcome(OPTIMAL, value, dict(zip(program.ids, point)))
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +595,9 @@ def solve_core(
     for part, _, _ in searched:
         ray = detect_unbounded(part)
         if ray is not None:
-            ray = {**dict.fromkeys(instance.ids(), 0), **ray}
-            # checked like an assignment: A d <= 0 and obj . d >= 1
-            if instance.objective.evaluate(ray) < 1 or any(
-                row.evaluate(ray) > 0 for row in instance.constraints
+            # checked like an assignment, on its part: A d <= 0 and obj . d >= 1
+            if part.objective.evaluate(ray) < 1 or any(
+                row.evaluate(ray) > 0 for row in part.constraints
             ):
                 raise InternalError("search returned an invalid recession ray")
             return SolveOutcome(UNBOUNDED)

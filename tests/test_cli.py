@@ -558,6 +558,17 @@ def test_public_names_resolve_lazily():
         tdilp.no_such_name
 
 
+def test_package_import_loads_no_submodule():
+    # every public name loads on first access, so `import tdilp` compiles
+    # the package file alone
+    src = str(Path(tdilp.__file__).resolve().parents[1])
+    code = "import sys, tdilp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'tdilp'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['tdilp']"]
+
+
 # every (module, function) in bench/launcher.py's SPANS and COUNTS: the
 # launcher looks each one up by name and a traced solve fails without it
 LAUNCHED = {

@@ -1,11 +1,9 @@
 """Exact solve: box bound, search, unboundedness, and the full pipeline."""
 
-import importlib.util
 import math
 import random
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,13 +27,12 @@ import tdilp.solver
 import tdilp.structure
 from tdilp.cli import run
 from tdilp.instance import InternalError, check_feasible, evaluate_objective, max_abs_coefficient
-from tdilp.oracle import brute_force_ilp, brute_three_coloring, brute_vertex_cover
+from tdilp.oracle import brute_force_ilp, brute_three_coloring, brute_vertex_cover, has_recession_ray
 from tdilp.reductions import reduce_three_coloring, reduce_vertex_cover
 from tdilp.solver import (
     _crt,
     _dive,
     _maximize,
-    _optimal,
     _propagate,
     _SearchProgram,
     bounded_search,
@@ -57,19 +54,6 @@ from conftest import (
 
 def _parse(text):
     return parse_instance(text)
-
-
-def _bench_workloads():
-    """bench/workloads.py, loaded by path: its exact recession-ray test
-    (Fourier-Motzkin over the rationals) is the reference for unbounded."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-HAS_RECESSION_RAY = _bench_workloads().has_recession_ray
 
 
 def test_solution_bound_values():
@@ -121,7 +105,7 @@ def test_hadamard_radius_keeps_verdicts_and_values(ins):
         old = solve_core(ins)
     assert (new.status, new.value) == (old.status, old.value)
     if new.status != "infeasible" and not ins.objective.is_zero():
-        assert (new.status == "unbounded") == HAS_RECESSION_RAY(ins)
+        assert (new.status == "unbounded") == has_recession_ray(ins)
 
 
 def test_box_bound_validation():
@@ -587,7 +571,8 @@ def _narrow_search(ins, radius):
     hit = _dive(program, radius, None)
     if hit is None:
         return SolveOutcome("infeasible")
-    return _optimal(program, _maximize(program, radius, hit))
+    point, value = _maximize(program, radius, hit)
+    return SolveOutcome("optimal", value, dict(zip(program.ids, point)))
 
 
 @st.composite
@@ -665,6 +650,23 @@ def test_boxed_chain_probes_ignore_the_radius(monkeypatch, n):
     outcome = solve(boxed_chain(n))
     assert (outcome.status, outcome.value, outcome.kernel_vars) == ("optimal", 6, n)
     assert len(dives) <= 4
+
+
+def test_dive_copies_state_only_for_the_nodes_it_searches(monkeypatch, propagate_calls):
+    # a child copies its parent's lo and hi when it is popped, not when it
+    # is pushed: a first-leaf dive never pops most of the children it
+    # pushes (53 calls and 100 copies here; a copy per push made 298)
+    calls = propagate_calls(60)
+    copies = []
+
+    def counted(*args):
+        copies.append(None)
+        return list(*args)
+
+    monkeypatch.setattr(tdilp.solver, "list", counted, raising=False)  # _dive's only
+    outcome = solve(boxed_chain(50))
+    assert (outcome.status, outcome.value) == ("optimal", 6)
+    assert 0 < len(copies) <= 2 * len(calls)
 
 
 def test_boxed_chain_of_4000_solves_in_seconds():
