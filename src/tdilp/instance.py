@@ -260,8 +260,11 @@ def max_abs_coefficient(instance: IlpInstance) -> int:
     return best
 
 
-def omit_variables(instance: IlpInstance, drop: Iterable[int]) -> IlpInstance:
-    """Delete a variable set together with every constraint touching it.
+def omit_variables(
+    instance: IlpInstance, drop: Iterable[int], objective: LinearObjective | None = None
+) -> IlpInstance:
+    """Delete a variable set together with every constraint touching it; the
+    objective over the survivors defaults to the instance's own.
 
     Surviving variables keep their ids and names so that traces recorded
     against the original instance stay meaningful.
@@ -275,8 +278,9 @@ def omit_variables(instance: IlpInstance, drop: Iterable[int]) -> IlpInstance:
     keep_cons = [
         c for c in instance.constraints if not (gone & set(c.variables()))
     ]
-    keep_obj = LinearObjective(tuple((v, c) for v, c in instance.objective.terms if v not in gone))
-    return IlpInstance(keep_vars, keep_cons, keep_obj)
+    if objective is None:
+        objective = LinearObjective(tuple(t for t in instance.objective.terms if t[0] not in gone))
+    return IlpInstance(keep_vars, keep_cons, objective)
 
 
 # ---------------------------------------------------------------------------

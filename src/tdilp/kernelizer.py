@@ -2,10 +2,12 @@
 
 Two sibling subtrees T_x, T_y are equivalent when some bijective renaming
 delta of T_x's variables onto T_y's maps the set of constraints touching
-T_x exactly onto the set touching T_y (ancestor variables stay fixed).
-If neither subtree carries an objective variable, T_y can be dropped
-without changing feasibility or the optimal value, and any solution of
-the smaller instance lifts back by copying values through delta.
+T_x exactly onto the set touching T_y (ancestor variables stay fixed), and
+T_x's objective coefficients onto T_y's.  Then T_y can be dropped and its
+coefficients added onto T_x's without changing feasibility or the optimal
+value: given the ancestors, twins share no row and have one feasible set,
+so c.x + c.delta(x') is best at x' = x.  Any solution of the smaller
+instance lifts back by copying values through delta.
 
 Each sibling's touching rows are viewed once; the views give a
 renaming-invariant signature that groups the candidates (equivalent
@@ -15,9 +17,9 @@ order-keeping renaming works, else by the search in ``twins`` (loaded then).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 
-from .instance import IlpError, IlpInstance, LinearConstraint, Record, omit_variables
+from .instance import IlpError, IlpInstance, LinearConstraint, LinearObjective, Record, omit_variables
 from .structure import TreedepthDecomposition
 
 
@@ -62,6 +64,11 @@ def _constraint_view(constraint: LinearConstraint, inside: set[int]):
     return (tuple(outside), tuple(inner), constraint.rhs)
 
 
+# an objective term is a one-term pseudo-row with this right-hand side,
+# which sorts among ints and equals none, so no real row takes it
+_OBJECTIVE_RHS = float("inf")
+
+
 class _Sibling:
     """A sibling subtree (sorted variables) and its touching rows, each viewed once
     for the signature; only siblings whose signatures collide are compared."""
@@ -97,50 +104,47 @@ def _renaming(x: _Sibling, fx: frozenset, y: _Sibling, fy: frozenset) -> dict[in
 
 
 class _Pruner:
-    """Variable-to-row index of one instance, plus the subtrees pruned so far.
+    """Variable-to-row index of one instance, the subtrees pruned so far,
+    and the objective with their coefficients folded onto their keepers'.
 
     The index is where the decomposition is checked: it is a treedepth
-    decomposition of the primal graph exactly when every row, and the
-    objective, lies on one root path.  So sibling subtrees never share a
-    row: pruning one sibling leaves every other sibling's touching rows,
-    signature and twins unchanged.  Each sibling set therefore needs a
-    single pass.
+    decomposition of the primal graph exactly when every row lies on one
+    root path.  So sibling subtrees never share a row: pruning one sibling
+    leaves every other sibling's touching rows, coefficients, signature and
+    twins unchanged.  Each sibling set therefore needs a single pass.
     """
 
     def __init__(self, instance: IlpInstance, decomposition: TreedepthDecomposition):
         if set(decomposition.parent) != set(instance.ids()):
             raise KernelError("decomposition nodes differ from instance variables")
-        self.constraints = instance.constraints
+        self.instance = instance
         self.decomposition = decomposition
         rows = [c.variables() for c in instance.constraints]
-        support = instance.objective.variables()
-        if not all(map(decomposition.is_chain, {*rows, support})):  # rows share supports
+        if not all(map(decomposition.is_chain, set(rows))):  # rows share supports
             raise KernelError("decomposition closure misses a primal edge")
         self.rows_of: dict[int, list[int]] = {v: [] for v in instance.ids()}
         for i, vs in enumerate(rows):
             for v in vs:
                 self.rows_of[v].append(i)
-        # nodes whose subtree holds an objective variable are never pruned
-        self.holders: set[int] = set(
-            decomposition.path_to_root(max(support, key=decomposition.depth_of)) if support else ()
-        )
+        self.objective = dict(instance.objective.terms)
         self.gone_vars: set[int] = set()
         self.gone_rows: set[int] = set()
 
-    def prune(self, kids: Iterable[int]) -> list[EquivalenceWitness]:
-        """Prune every objective-free sibling in kids (ascending ids) that
-        has a smaller-id twin.  Returns one witness per pruned twin, from the
-        class's smallest id, in trace order: classes by smallest id, then
-        ascending pruned id."""
-        kids = [c for c in kids if c not in self.holders]
+    def prune(self, kids: Sequence[int]) -> list[EquivalenceWitness]:
+        """Find every sibling in kids (ascending ids) that has a smaller-id
+        twin.  Returns one witness per twin, from the class's smallest id, in
+        trace order: classes by smallest id, then ascending twin id."""
         if len(kids) < 2:
             return []
+        constraints, objective = self.instance.constraints, self.objective
         groups: dict[tuple, list[tuple[int, _Sibling]]] = {}
         for c in kids:
             # pruned nodes always form whole subtrees, so filtering is enough
             nodes = tuple(v for v in self.decomposition.subtree(c) if v not in self.gone_vars)
             rows = {i for v in nodes for i in self.rows_of[v]} - self.gone_rows
-            sibling = _Sibling(nodes, tuple(self.constraints[i] for i in sorted(rows)))
+            terms = [LinearConstraint(((v, objective[v]),), _OBJECTIVE_RHS)
+                     for v in nodes if v in objective]
+            sibling = _Sibling(nodes, (*(constraints[i] for i in sorted(rows)), *terms))
             groups.setdefault(sibling.signature, []).append((c, sibling))
         collisions = [members for members in groups.values() if len(members) > 1]
         hits = []
@@ -156,11 +160,21 @@ class _Pruner:
                 else:
                     keepers.append((c, sibling, form))
         hits.sort(key=lambda w: (w.x, w.y))
-        for witness in hits:
-            pruned = witness.delta.values()
-            self.gone_vars.update(pruned)
-            self.gone_rows.update(i for v in pruned for i in self.rows_of[v])
         return hits
+
+    def omit(self, witness: EquivalenceWitness) -> None:
+        """Drop the twin's variables and rows, folding its coefficients onto
+        the keeper's."""
+        for keeper, twin in witness.delta.items():
+            self.gone_vars.add(twin)
+            self.gone_rows.update(self.rows_of[twin])
+            if twin in self.objective:
+                self.objective[keeper] += self.objective.pop(twin)
+
+    def kernel(self) -> IlpInstance:
+        """The instance without the omitted twins, under the folded objective."""
+        objective = LinearObjective(tuple(sorted(self.objective.items())))
+        return omit_variables(self.instance, self.gone_vars, objective)
 
 
 def _trace_step(instance: IlpInstance, witness: EquivalenceWitness) -> TraceStep:
@@ -180,22 +194,21 @@ def kernelize(
     collapse too.  Within a level, parents go by ascending id.
     The trace is the one that omitting the smallest (keeper, twin) pair
     one at a time until a fixpoint would record; the instance is rebuilt
-    once at the end, and when nothing was pruned the given instance and
-    decomposition are returned as the kernel.  Raises KernelError unless the
-    decomposition is a treedepth decomposition of the primal graph.
+    once at the end, under the folded objective, and when nothing was
+    pruned the given instance and decomposition are returned as the kernel.
+    Raises KernelError unless the decomposition is a treedepth decomposition
+    of the primal graph.
     """
     pruner = _Pruner(instance, decomposition)
     parents = sorted(decomposition.nodes(), key=lambda v: -decomposition.depth_of(v))
-    # the pruner checked that the objective's support lies on one root path,
-    # whose tree it keeps: the virtual root is always safe to process
-    sibling_sets = [*map(decomposition.children, parents), decomposition.roots()]
-    steps = tuple(
-        _trace_step(instance, witness) for kids in sibling_sets for witness in pruner.prune(kids)
-    )
+    steps = []
+    for kids in [*map(decomposition.children, parents), decomposition.roots()]:
+        for witness in pruner.prune(kids):
+            pruner.omit(witness)
+            steps.append(_trace_step(instance, witness))
     if not steps:
-        return instance, decomposition, steps
-    kernel = omit_variables(instance, pruner.gone_vars)
-    return kernel, decomposition.drop_nodes(pruner.gone_vars), steps
+        return instance, decomposition, ()
+    return pruner.kernel(), decomposition.drop_nodes(pruner.gone_vars), tuple(steps)
 
 
 def lift_solution(

@@ -245,11 +245,12 @@ def _propagate(
     boxes; stopping early is sound because propagation only ever narrows.
 
     A moved bound requeues only the rows whose floor sum reads it (see
-    _SearchProgram.lo_readers).  A row's pass moves only bounds its own
-    floor sum does not read, so the row never needs to run again for its
-    own moves.  branched=j says the state is a fixpoint of the same rows
-    and cut except for x_j's domain, so only what reads x_j is queued;
-    None queues everything.
+    _SearchProgram.lo_readers), and x_j's equalities only once x_j is fixed:
+    _implied_classes reads only the fixed variables.  A row's pass moves
+    only bounds its own floor sum does not read, so the row never needs to
+    run again for its own moves.  branched=j says the state is a fixpoint of
+    the same rows and cut except for x_j's domain, so only what reads x_j is
+    queued; None queues everything.
     """
     rows = program.rows
     cut_row = len(rows)  # the cut's index in the reader lists
@@ -265,10 +266,11 @@ def _propagate(
             if not queued[other]:
                 queued[other] = 1
                 queue.append(other)
-        for ei in var_eqs[j]:
-            if not eq_queued[ei]:
-                eq_queued[ei] = 1
-                eq_queue.append(ei)
+        if lo[j] == hi[j]:
+            for ei in var_eqs[j]:
+                if not eq_queued[ei]:
+                    eq_queued[ei] = 1
+                    eq_queue.append(ei)
 
     if branched is None:
         queue = deque(range(n_rows))
@@ -345,10 +347,11 @@ def _propagate(
                 if not queued[other]:
                     queued[other] = 1
                     queue.append(other)
-            for ei in var_eqs[j]:
-                if not eq_queued[ei]:
-                    eq_queued[ei] = 1
-                    eq_queue.append(ei)
+            if lo[j] == hi[j]:
+                for ei in var_eqs[j]:
+                    if not eq_queued[ei]:
+                        eq_queued[ei] = 1
+                        eq_queue.append(ei)
     return True
 
 

@@ -156,8 +156,8 @@ class TreedepthDecomposition:
     def is_chain(self, vs: Iterable[int]) -> bool:
         """True iff the nodes lie on one root path: each is an ancestor of the
         deepest, so one walk up from it meets them all, deepest first.  Rows
-        and objectives are primal cliques, so a decomposition is valid exactly
-        when each of their supports is a chain."""
+        are primal cliques, so a decomposition is valid exactly when each
+        row's support is a chain."""
         depth, parent = self._depth, self.parent
         ordered = sorted(vs, key=depth.__getitem__, reverse=True)
         u = ordered[0] if ordered else None
@@ -197,8 +197,8 @@ class TreedepthDecomposition:
 
 
 def build_primal_graph(instance: IlpInstance) -> Graph:
-    """Variables adjacent iff they share a constraint or both sit in the objective."""
-    edges = set(combinations(instance.objective.variables(), 2))
+    """Variables adjacent iff they share a constraint."""
+    edges = set()
     for c in instance.constraints:
         edges.update(combinations([v for v, _ in c.terms], 2))
     return Graph(instance.ids(), edges)

@@ -8,7 +8,9 @@ a common order never compiles it.
 The wrappers (``test_equivalence``, ``find_equivalent_pair``,
 ``prune_step``, ``constraints_touching``, ``subtree_signature``) serve
 tests and callers that step through the kernel one pair at a time; no
-solve calls them.  Their old names in ``kernelizer`` still resolve here.
+solve calls them.  ``find_equivalent_pair`` and ``prune_step`` read the
+objective as ``kernelize`` does, the other three only rows.  Their old
+names in ``kernelizer`` still resolve here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 
-from .instance import IlpInstance, LinearConstraint, omit_variables
+from .instance import IlpInstance, LinearConstraint
 from .kernelizer import EquivalenceWitness, KernelError, TraceStep, _Pruner, _Sibling, _trace_step
 from .structure import TreedepthDecomposition
 
@@ -164,8 +166,9 @@ def find_equivalent_pair(
     decomposition: TreedepthDecomposition,
     z: int | None,
 ) -> EquivalenceWitness | None:
-    """First equivalent objective-free pair of children of z, in (min id,
-    max id) order; z=None addresses the virtual root above all trees."""
+    """First equivalent pair of children of z, in (min id, max id) order,
+    their objective coefficients compared like rows; z=None addresses the
+    virtual root above all trees."""
     kids = decomposition.roots() if z is None else decomposition.children(z)
     hits = _Pruner(instance, decomposition).prune(kids)
     return hits[0] if hits else None
@@ -176,9 +179,11 @@ def prune_step(
     decomposition: TreedepthDecomposition,
     z: int | None,
 ) -> tuple[IlpInstance, TreedepthDecomposition, TraceStep] | None:
-    """Omit one equivalent sibling subtree under z, if any; None otherwise."""
-    witness = find_equivalent_pair(instance, decomposition, z)
-    if witness is None:
+    """Omit one equivalent sibling subtree under z, if any, and fold its
+    objective coefficients onto its twin's; None otherwise."""
+    pruner = _Pruner(instance, decomposition)
+    hits = pruner.prune(decomposition.roots() if z is None else decomposition.children(z))
+    if not hits:
         return None
-    step = _trace_step(instance, witness)
-    return omit_variables(instance, step.omitted), decomposition.drop_nodes(step.omitted), step
+    pruner.omit(hits[0])
+    return pruner.kernel(), decomposition.drop_nodes(pruner.gone_vars), _trace_step(instance, hits[0])

@@ -2,7 +2,12 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -42,10 +47,11 @@ from tdilp.kernelizer import (
     test_equivalence as check_equivalence,
 )
 from tdilp.oracle import brute_force_ilp, equivalence_reference, witness_is_sound
-from tdilp.solver import solve_pipeline
+from tdilp.solver import solve_core, solve_pipeline
 from tdilp.structure import (
     ROOT,
     build_primal_graph,
+    decompose,
     dfs_treedepth_heuristic,
     verify_treedepth_decomposition,
     witness_from_json,
@@ -110,8 +116,8 @@ def test_unequal_blocks_are_kept():
     assert kdec is dec
 
 
-def test_objective_holding_block_is_never_pruned():
-    # objective sits on a1, so only a2 is eligible and no pair exists
+def test_blocks_with_unequal_objective_coefficients_are_kept():
+    # objective sits on a1 alone: a1's block and a2's differ in a coefficient
     b = InstanceBuilder()
     z = b.var("z")
     a1 = b.var("a1")
@@ -149,9 +155,6 @@ def test_kernelize_rejects_uncovered_edge():
     cases = [
         # z (id 2) adjacent to both blocks, but this forest separates z from a2
         (_blocks_instance([4, 4])[0], TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT})),
-        # every row is a chain, the objective's a and b are siblings below c
-        (_abc_instance({"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1}),
-         TreedepthDecomposition({2: ROOT, 0: 2, 1: 2})),
         # a + b + c: a is above b and c, which are siblings
         (_abc_instance({}, {"a": 1, "b": 1, "c": 1}),
          TreedepthDecomposition({0: ROOT, 1: 0, 2: 0})),
@@ -162,6 +165,22 @@ def test_kernelize_rejects_uncovered_edge():
                       lambda i, d: prune_step(i, d, None)):
             with pytest.raises(KernelError, match="closure misses a primal edge"):
                 prune(ins, bad)
+
+
+def test_a_decomposition_may_split_the_objective():
+    """Every row is a chain and the objective's a and b are siblings below
+    c: the forest is valid, and a and b are twins whose coefficients fold."""
+    ins = _boxed(_abc_instance({"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1}))
+    dec = TreedepthDecomposition({2: ROOT, 0: 2, 1: 2})
+    assert verify_treedepth_decomposition(build_primal_graph(ins), dec)
+    kernel, _, trace = kernelize(ins, dec)
+    assert kernel.objective.terms == ((0, 2),)
+    assert [step.delta for step in trace] == [{0: 1}]
+    assert find_equivalent_pair(ins, dec, 2).delta == {0: 1}
+    assert prune_step(ins, dec, 2)[0] == kernel
+    outcome, _ = solve_pipeline(ins, dec)
+    want = brute_force_ilp(ins, 2)
+    assert (outcome.status, outcome.value) == (want.status, want.value) == ("optimal", 4)
 
 
 def test_kernel_value_matches_original_after_lift():
@@ -252,19 +271,24 @@ def test_virtual_root_collapses_duplicate_components():
     assert trace[0].delta == {0: 1, 2: 3}
 
 
-def test_virtual_root_skips_objective_component():
+def test_virtual_root_folds_only_equal_objectives():
     b = InstanceBuilder()
     p1, p2 = b.var("p1"), b.var("p2")
     q1, q2 = b.var("q1"), b.var("q2")
     b.add_le({p1: 1, q1: 1}, 3)
     b.add_le({p2: 1, q2: 1}, 3)
-    b.set_objective({p1: 1})
-    ins = b.build()
     dec = TreedepthDecomposition({0: ROOT, 2: 0, 1: ROOT, 3: 1})
-    kernel, _, trace = kernelize(ins, dec)
-    # the p1 tree holds the objective; the p2 tree has no twin left
+    # on p1 alone the two trees differ in a coefficient: no twins
+    b.set_objective({p1: 1})
+    kernel, _, trace = kernelize(b.build(), dec)
     assert kernel.n_variables == 4
     assert len(trace) == 0
+    # over both p's they are twins, and p2's coefficient folds onto p1
+    b.set_objective({p1: 1, p2: 1})
+    kernel, _, trace = kernelize(b.build(), dec)
+    assert kernel.ids() == (0, 2)
+    assert kernel.objective.terms == ((0, 2),)
+    assert trace[0].delta == {0: 1, 2: 3}
 
 
 def test_compute_bounds_small_cases():
@@ -411,18 +435,77 @@ def test_deep_twin_components_kernelize_without_recursion():
     assert kernel.n_variables == 1101
 
 
+_FRONT_END_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from conftest import boxed_chain
+from tdilp.formats import serialize_instance
+from tdilp.instance import parse_instance
+from tdilp.kernelizer import kernelize
+from tdilp.structure import decompose
+ins = parse_instance(serialize_instance(boxed_chain(100_000)))
+dec = decompose(ins)
+kernel, _, trace = kernelize(ins, dec)
+print(ins.n_variables, len(ins.constraints), dec.height, kernel is ins, len(trace))
+"""
+
+
+def test_a_100000_variable_chain_passes_the_front_end_under_a_memory_cap():
+    """Parse, decompose and kernelize boxed_chain(100000), whose DFS forest
+    is 99,999 levels deep, in a child whose address space is capped at
+    2 GB: no RecursionError and no MemoryError.  About 10 s."""
+    paths = [str(Path(__file__).parent), str(Path(kernelizer.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRONT_END_CHILD], env=env, capture_output=True, text=True,
+        timeout=240,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["100000", "299999", "99999", "True", "0"]
+
+
+def _omit_folding(ins, delta):
+    """ins without delta's image, whose objective coefficients are added
+    onto those of delta's keepers."""
+    objective = dict(ins.objective.terms)
+    for keeper, twin in delta.items():
+        if twin in objective:
+            objective[keeper] = objective.get(keeper, 0) + objective.pop(twin)
+    return omit_variables(ins, delta.values(), LinearObjective(tuple(sorted(objective.items()))))
+
+
+def _keeps_coefficients(ins, delta):
+    """Whether delta maps each variable's objective coefficient onto an equal one."""
+    coefficient = ins.objective.coefficient
+    return all(coefficient(keeper) == coefficient(twin) for keeper, twin in delta.items())
+
+
+def _scales_coefficients(ins, delta):
+    """Whether delta maps the keeper's objective coefficients onto the twin's
+    times one positive factor: then, given the ancestors, one point of the
+    twins' common feasible set maximizes both, so folding loses nothing.
+    (The factor is 1 unless earlier twins have folded onto the keeper.)"""
+    coefficient = ins.objective.coefficient
+    pairs = [(coefficient(keeper), coefficient(twin)) for keeper, twin in delta.items()]
+    factors = {Fraction(t, k) for k, t in pairs if k}
+    return all(t == 0 for k, t in pairs if not k) and len(factors) <= 1 and min(factors, default=1) > 0
+
+
 def _naive_kernelize(instance, decomposition):
     """Reference fixpoint: omit the smallest equivalent (keeper, twin) pair
-    under each parent, rebuilding the instance after every step, until no
-    pair is left."""
+    under each parent and then under the virtual root, folding the twin's
+    objective coefficients onto the keeper's and rebuilding the instance
+    after every step, until no pair is left.  A pair is equivalent when
+    test_equivalence's renaming also keeps the objective coefficients that
+    the sibling set started with.  Planted draws put the objective on one
+    variable and perhaps its parent, so no renaming keeps the coefficients
+    of a sibling that holds a term, and the first renaming decides."""
     ins, dec, steps = instance, decomposition, []
 
-    def first_pair(kids):
-        support = set(ins.objective.variables())
+    def first_pair(kids, start):
         groups = {}
         for c in kids:
-            if not support & set(dec.subtree(c)):
-                groups.setdefault(subtree_signature(ins, dec.subtree(c)), []).append(c)
+            groups.setdefault(subtree_signature(ins, dec.subtree(c)), []).append(c)
         pairs = sorted(
             pair
             for members in groups.values()
@@ -430,24 +513,23 @@ def _naive_kernelize(instance, decomposition):
         )
         for a, b in pairs:
             witness = check_equivalence(ins, dec, a, b)
-            if witness is not None:
+            if witness is not None and _keeps_coefficients(start, witness.delta):
                 return witness
         return None
 
     def exhaust(z):
         nonlocal ins, dec
-        while (w := first_pair(dec.roots() if z is None else dec.children(z))) is not None:
+        start = ins
+        while (w := first_pair(dec.roots() if z is None else dec.children(z), start)) is not None:
             gone = dec.subtree(w.y)
             names = {v: ins.name_of(v) for v in sorted(set(gone) | set(w.delta))}
             steps.append(TraceStep(gone, w.x, dict(w.delta), names))
-            ins, dec = omit_variables(ins, gone), dec.drop_nodes(gone)
+            ins, dec = _omit_folding(ins, w.delta), dec.drop_nodes(gone)
 
     for depth in range(decomposition.height - 1, 0, -1):
         for z in [v for v in dec.nodes() if dec.depth_of(v) == depth]:
             exhaust(z)
-    support = set(ins.objective.variables())
-    if sum(bool(support & set(dec.subtree(r))) for r in dec.roots()) <= 1:
-        exhaust(None)
+    exhaust(None)
     return ins, dec, tuple(steps)
 
 
@@ -641,15 +723,19 @@ def _renamed(ins, dec, rank):
 
 
 def _sound_steps(ins, dec, trace):
-    """Whether every step omits its delta's image and certifies a sound
-    witness on the instance left before it."""
+    """Whether every step omits its delta's image, certifies a sound
+    witness and scales the keeper's objective coefficients onto the twin's
+    on the instance left before it, where each earlier step has folded its
+    twin's coefficients onto its keeper's."""
     for step in trace:
         if step.omitted != tuple(sorted(step.delta.values())):
             return False
         twin = next(v for v in step.omitted if dec.parent[v] not in step.omitted)
         if not witness_is_sound(ins, dec, EquivalenceWitness(step.keeper_root, twin, step.delta)):
             return False
-        ins, dec = omit_variables(ins, step.omitted), dec.drop_nodes(step.omitted)
+        if not _scales_coefficients(ins, step.delta):
+            return False
+        ins, dec = _omit_folding(ins, step.delta), dec.drop_nodes(step.omitted)
     return True
 
 
@@ -767,6 +853,105 @@ def test_kernels_do_not_depend_on_names(case, data):
         want, _ = solve_pipeline(_boxed(ins), dec)
     assert (outcome.status, outcome.value) == (want.status, want.value)
     assert outcome.assignment is None or check_feasible(boxed, outcome.assignment)
+
+
+def _capped_star(n):
+    """z <= 5 and n caps z <= a_i <= 4 under max: z + a_1 + ... + a_n, whose
+    optimum is 4n + 4; ids by name, so the a_i are 0..n-1 and z is n."""
+    b = InstanceBuilder()
+    b.add_le({"z": 1}, 5)
+    for i in range(1, n + 1):
+        b.add_le({"z": 1, f"a{i:03d}": -1}, 0)
+        b.add_le({f"a{i:03d}": 1}, 4)
+    b.set_objective({"z": 1, **{f"a{i:03d}": 1 for i in range(1, n + 1)}})
+    return b.build()
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_an_objective_over_twin_caps_folds_onto_one_cap(n):
+    """The objective is no edge of the primal graph, so the DFS forest is the
+    star below z, and every cap is a twin of a001 that folds its coefficient
+    onto a001's."""
+    ins = _capped_star(n)
+    outcome, info = solve_pipeline(ins)
+    assert outcome.kernel_vars == 2
+    assert info.kernel.objective.terms == ((0, n), (n, 1))
+    assert outcome.value == 4 * n + 4
+    assert outcome.assignment == dict.fromkeys(ins.ids(), 4)
+    assert _sound_steps(ins, decompose(ins), info.trace)
+
+
+@st.composite
+def objective_twin_blocks(draw):
+    """1-2 roots r0 - r1 above 2-5 blocks, each a copy of one of two
+    templates.  A template is a path of 1-2 variables below the last root,
+    1-2 rows over the roots and the path with coefficients in [-2, 2]
+    (nonzero on the path's last variable) and an objective coefficient in
+    [-2, 2] on each variable.  A copy keeps the template's coefficients or
+    draws its own.  Every variable is boxed to [-2, 2]: free roots make
+    free rows over 3-4 variables, on which solve_core itself can stall
+    (ROADMAP item 5).  Returns the instance and the planted decomposition."""
+    coeff = st.integers(-2, 2)
+    roots = [f"r{i}" for i in range(draw(st.integers(1, 2)))]
+
+    def template():
+        size = draw(st.integers(1, 2))
+        rows = [(draw(st.lists(coeff, min_size=len(roots) + size - 1, max_size=len(roots) + size - 1))
+                 + [draw(st.sampled_from((-2, -1, 1, 2)))], draw(coeff))
+                for _ in range(draw(st.integers(1, 2)))]
+        return size, rows, draw(st.lists(coeff, min_size=size, max_size=size))
+
+    b = InstanceBuilder()
+    objective = {b.var(r): draw(coeff) for r in roots}
+    for r in roots:
+        b.add_le({r: 1}, 2)
+        b.add_ge({r: 1}, -2)
+    templates = [template(), template()]
+    paths = []
+    for j in range(draw(st.integers(2, 5))):
+        size, rows, costs = draw(st.sampled_from(templates))
+        if draw(st.booleans()):
+            costs = draw(st.lists(coeff, min_size=size, max_size=size))
+        path = [f"b{j}v{i}" for i in range(size)]
+        for name, cost in zip(path, costs):
+            b.var(name)
+            b.add_le({name: 1}, 2)
+            b.add_ge({name: 1}, -2)
+            objective[name] = cost
+        for coeffs, rhs in rows:
+            b.add_le(dict(zip(roots + path, coeffs)), rhs)
+        paths.append(path)
+    b.set_objective(objective)
+    ins = b.build()
+    parent = {}
+    for above, path in [(None, roots), *((roots[-1], path) for path in paths)]:
+        for above, name in zip([above, *path], path):
+            parent[ins.id_of(name)] = ROOT if above is None else ins.id_of(above)
+    return ins, TreedepthDecomposition(parent)
+
+
+@given(objective_twin_blocks())
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_objectives_over_twin_blocks_match_the_unkernelized_solve(case):
+    """Twins fold their objective coefficients: the kernel's verdict and
+    value, along the planted decomposition and the DFS forest, are those of
+    solve_core on the instance itself, and brute_force_ilp's on draws of at
+    most 7 variables.  Each fold replays soundly.  Without shrinking,
+    under a 10 s alarm, as in test_boxed_planted_solves_match_the_oracle."""
+    ins, dec = case
+    note(serialize_instance(ins))
+    note(witness_to_json(dec))
+    with deadline(10):
+        outcome, info = solve_pipeline(ins, dec)
+        dfs, _ = solve_pipeline(ins)
+        want = solve_core(ins)
+    folded = any(t in dict(ins.objective.terms) for step in info.trace for t in step.omitted)
+    event("a twin folds objective terms" if folded else "no twin holds an objective term")
+    assert (outcome.status, outcome.value) == (dfs.status, dfs.value) == (want.status, want.value)
+    assert _sound_steps(ins, dec, info.trace)
+    if ins.n_variables <= 7:
+        ref = brute_force_ilp(ins, 2)
+        assert (ref.status, ref.value) == (outcome.status, outcome.value)
 
 
 def _assert_boxed_solves_agree(ins, planted):

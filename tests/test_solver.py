@@ -828,7 +828,34 @@ def test_three_coloring_search_derives_residue_classes(propagate_calls, graph, c
         assert check_feasible(ins, outcome.assignment)
 
 
-_SMALL_GRAPHS = {f"n{n}-{i}": g for n in range(5) for i, g in enumerate(all_graphs(n))}
+@pytest.mark.parametrize("graph, derivations", [
+    (cycle_graph(5), 218),
+    (cycle_graph(6), 260),
+    (cycle_graph(7), 302),
+    (complete_graph(4), 243),
+    (odd_wheel(), 299),
+], ids=["C5", "C6", "C7", "K4", "W5"])
+def test_an_equality_wakes_only_when_a_move_fixes_one_of_its_variables(
+    monkeypatch, graph, derivations
+):
+    # _implied_classes reads only which of a row's variables are fixed, so a
+    # move that leaves x_j unfixed derives nothing new from x_j's equalities;
+    # waking them on every move made 540/835/1,124/438/640 derivations here
+    calls = []
+    real = tdilp.solver._implied_classes
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(tdilp.solver, "_implied_classes", counted)
+    ins, witness = reduce_three_coloring(graph)
+    outcome, _ = solve_pipeline(ins, witness, propagate=True)
+    assert len(calls) == derivations
+    assert outcome.status == ("optimal" if brute_three_coloring(graph) else "infeasible")
+
+
+_SMALL_GRAPHS ={f"n{n}-{i}": g for n in range(5) for i, g in enumerate(all_graphs(n))}
 
 
 @pytest.mark.parametrize(

@@ -165,13 +165,12 @@ def test_decompose_checks_a_given_witness():
             solve_pipeline(ins, witness)
 
 
-def test_primal_graph_co_occurrence_and_objective_clique():
+def test_primal_graph_joins_only_variables_that_share_a_row():
     ins = parse_instance("max: a + c\na + b <= 1\nc <= 2\nd <= 3\n")
     g = build_primal_graph(ins)
     a, b, c, d = (ins.id_of(x) for x in "abcd")
-    assert b in g.neighbors(a)  # shared row
-    assert c in g.neighbors(a)  # both in the objective
-    assert d not in g.neighbors(a) and c not in g.neighbors(b)
+    assert g.neighbors(a) == (b,)  # shared row; the objective over a and c adds no edge
+    assert g.neighbors(c) == () and g.neighbors(d) == ()
 
 
 def test_tree_decomposition_from_treedepth():
