@@ -227,7 +227,8 @@ def _propagate(
     program: _SearchProgram,
     lo: list[int],
     hi: list[int],
-    classes: dict[int, tuple[int, int]],
+    classes: list[tuple[int, int]],
+    trail: list[tuple[int, int, int, tuple[int, int]]],
     cut_rhs: int | None,
     branched: int | None = None,
 ) -> bool | None:
@@ -235,14 +236,14 @@ def _propagate(
     None iff infeasible; otherwise whether the fixpoint was reached (False
     when the update cap stopped the pass first).
 
-    classes[j] = (r, m) means x_j = r (mod m); a variable without an entry
-    has m = 1.  Rows tighten interval bounds.  Each time the row queue
-    drains, one queued equality adds the classes _implied_classes derives,
-    each joined with the variable's class by the Chinese remainder
-    theorem, and every bound snaps into its variable's class.  Rows alone
-    meet such congruences one at a time and walk a variable from residue
-    to residue.  The update cap stops whatever creep remains on huge
-    boxes; stopping early is sound because propagation only ever narrows.
+    classes[j] = (r, m) means x_j = r (mod m); (0, 1) says nothing.  Rows
+    tighten interval bounds.  Each time the row queue drains, one queued
+    equality adds the classes _implied_classes derives, each joined with
+    the variable's class by the Chinese remainder theorem, and every bound
+    snaps into its variable's class.  Rows alone meet such congruences one
+    at a time and walk a variable from residue to residue.  The update cap
+    stops whatever creep remains on huge boxes; stopping early is sound
+    because propagation only ever narrows.
 
     A moved bound requeues only the rows whose floor sum reads it (see
     _SearchProgram.lo_readers), and x_j's equalities only once x_j is fixed:
@@ -250,7 +251,8 @@ def _propagate(
     only bounds its own floor sum does not read, so the row never needs to
     run again for its own moves.  branched=j says the state is a fixpoint of
     the same rows and cut except for x_j's domain, so only what reads x_j is
-    queued; None queues everything.
+    queued; None queues everything.  Each write first appends x_j's old
+    (j, lo[j], hi[j], classes[j]) to trail, for _undo.
     """
     rows = program.rows
     cut_row = len(rows)  # the cut's index in the reader lists
@@ -261,7 +263,6 @@ def _propagate(
     lo_readers, hi_readers, var_eqs = program.lo_readers, program.hi_readers, program.var_eqs
 
     def wake(j: int, readers: list[int]) -> None:
-        # the row loop below inlines this
         for other in readers:
             if not queued[other]:
                 queued[other] = 1
@@ -292,9 +293,10 @@ def _propagate(
             if implied is None:
                 return None
             for j, r, m in implied:
-                joined = _crt(*classes.get(j, (0, 1)), r, m)
+                joined = _crt(*classes[j], r, m)
                 if joined is None:
                     return None
+                trail.append((j, lo[j], hi[j], classes[j]))
                 r, m = classes[j] = joined
                 new_lo = lo[j] + (r - lo[j]) % m
                 new_hi = hi[j] - (hi[j] - r) % m
@@ -324,35 +326,29 @@ def _propagate(
                 new_hi = lo[j] + slack // c
                 if new_hi >= hi[j]:
                     continue
-                if j in classes:
-                    r, m = classes[j]
-                    new_hi -= (new_hi - r) % m
-                hi[j] = new_hi
-                readers = hi_readers[j]
+                r, m = classes[j]
+                new_lo, new_hi, readers = lo[j], new_hi - (new_hi - r) % m, hi_readers[j]
             else:
                 new_lo = hi[j] - slack // -c
                 if new_lo <= lo[j]:
                     continue
-                if j in classes:
-                    r, m = classes[j]
-                    new_lo += (r - new_lo) % m
-                lo[j] = new_lo
-                readers = lo_readers[j]
-            if lo[j] > hi[j]:
+                r, m = classes[j]
+                new_lo, new_hi, readers = new_lo + (r - new_lo) % m, hi[j], lo_readers[j]
+            if new_lo > new_hi:
                 return None
+            trail.append((j, lo[j], hi[j], classes[j]))
+            lo[j], hi[j] = new_lo, new_hi
             budget -= 1
             if budget <= 0:
                 return False
-            for other in readers:
-                if not queued[other]:
-                    queued[other] = 1
-                    queue.append(other)
-            if lo[j] == hi[j]:
-                for ei in var_eqs[j]:
-                    if not eq_queued[ei]:
-                        eq_queued[ei] = 1
-                        eq_queue.append(ei)
+            wake(j, readers)
     return True
+
+
+def _undo(trail, mark: int, lo: list[int], hi: list[int], classes: list[tuple[int, int]]) -> None:
+    """Give back the state from before trail[mark:], newest entry first."""
+    while len(trail) > mark:
+        j, lo[j], hi[j], classes[j] = trail.pop()
 
 
 def _pick_branch_var(
@@ -398,20 +394,21 @@ def _dive(
     if cut_rhs is not None and program.cut_opposite is not None:
         if cut_rhs + program.cut_opposite < 0:
             return None
-    # a node: its parent's lo, hi and residue classes (see _propagate), the
-    # propagation seed (None at the root and below a cap exit), and the
-    # sub-domain [a, b] of the parent's branch variable j (None at the
-    # root).  A child copies the parent's state when it is popped, since a
-    # class derived from a child's fixed values does not hold for its
-    # siblings; the parent's state is not written after its children are
-    # pushed, so the children a dive never pops copy nothing
-    stack = [([-radius] * n, [radius] * n, {}, None, None, 0, 0)]
+    # one state per dive: lo, hi and the residue classes (see _propagate),
+    # and the trail of their old values.  A node is the trail's length once
+    # its parent was propagated, the propagation seed (None at the root and
+    # below a cap exit), and the sub-domain [a, b] of the parent's branch
+    # variable j (None at the root).  The search is depth-first, so undoing
+    # the trail to a node's mark gives back its parent's state
+    lo, hi, classes, trail = [-radius] * n, [radius] * n, [(0, 1)] * n, []
+    stack = [(0, None, None, 0, 0)]
     while stack:
-        lo, hi, classes, branched, j, a, b = stack.pop()
+        mark, branched, j, a, b = stack.pop()
+        _undo(trail, mark, lo, hi, classes)
         if j is not None:
-            lo, hi, classes = list(lo), list(hi), dict(classes)
+            trail.append((j, lo[j], hi[j], classes[j]))
             lo[j], hi[j] = a, b
-        done = _propagate(program, lo, hi, classes, cut_rhs, branched=branched)
+        done = _propagate(program, lo, hi, classes, trail, cut_rhs, branched=branched)
         if done is None:
             continue
         # under lowest-id branching every variable below the parent's branch
@@ -441,14 +438,14 @@ def _dive(
         mid = (first + last) // 2
         halves = [(first, mid), (mid + 1, last)]
         parts += [h for h in (halves[::-1] if up else halves) if h[0] <= h[1]]
-        r, m = classes.get(j, (0, 1))
+        r, m = classes[j]
         # a child differs from this node only in x_j, so after a fixpoint it
         # re-propagates only what reads x_j; after a cap exit, everything
         seed = j if done else None
         for a, b in reversed(parts):
             a, b = a + (r - a) % m, b - (b - r) % m
             if a <= b:
-                stack.append((lo, hi, classes, seed, j, a, b))
+                stack.append((len(trail), seed, j, a, b))
     return None
 
 
@@ -473,7 +470,7 @@ def _maximize(
     if not program.cut_terms:
         return hit
     box_lo, box_hi = [-radius] * program.n, [radius] * program.n
-    _propagate(program, box_lo, box_hi, {}, None)
+    _propagate(program, box_lo, box_hi, [(0, 1)] * program.n, [], None)
     top = sum(c * (box_hi[j] if c > 0 else box_lo[j]) for j, c in enumerate(program.obj) if c)
     # lo is reached and every value above hi is refuted
     lo, hi, t, drop = hit[1], top, top, 1

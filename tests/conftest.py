@@ -6,7 +6,11 @@ visible without -s.
 """
 
 import contextlib
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -74,6 +78,16 @@ def boxed_chain(n: int):
         b.add_le({x: 1, y: 1}, 4)
     b.set_objective({xs[0]: 1, xs[-1]: 1})
     return b.build()
+
+
+def run_in_child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports tdilp from this checkout
+    and conftest from this directory, so that it can cap its own memory."""
+    paths = [str(Path(__file__).parent), str(Path(tdilp.solver.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=240
+    )
 
 
 @contextlib.contextmanager

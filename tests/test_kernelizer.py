@@ -2,12 +2,8 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -57,7 +53,7 @@ from tdilp.structure import (
     witness_from_json,
 )
 
-from conftest import boxed_chain, deadline, deep_twin_paths, random_forests
+from conftest import boxed_chain, deadline, deep_twin_paths, random_forests, run_in_child
 
 
 def _blocks_instance(caps, objective_on_z=True):
@@ -454,12 +450,7 @@ def test_a_100000_variable_chain_passes_the_front_end_under_a_memory_cap():
     """Parse, decompose and kernelize boxed_chain(100000), whose DFS forest
     is 99,999 levels deep, in a child whose address space is capped at
     2 GB: no RecursionError and no MemoryError.  About 10 s."""
-    paths = [str(Path(__file__).parent), str(Path(kernelizer.__file__).parents[1])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    done = subprocess.run(
-        [sys.executable, "-c", _FRONT_END_CHILD], env=env, capture_output=True, text=True,
-        timeout=240,
-    )
+    done = run_in_child(_FRONT_END_CHILD)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split() == ["100000", "299999", "99999", "True", "0"]
 
